@@ -1,29 +1,23 @@
-"""Experiment S2 — per-query event routing and the inline scheduler.
+"""Experiment S2 — per-query event routing.
 
-PR 1's shared pass filtered the stream once with the *union* of all
+A shared pass that filtered the stream once with the *union* of all
 registered queries' interest, then broadcast every surviving event to every
-session: a sparse query in a dense fleet paid for the whole fleet's
-appetite.  PR 2 routes per query — one stack-machine pass computes, per
-admitted event, the bitmask of plans that actually need it — and optionally
-drives the per-query runtimes *inline* (round-robin on the dispatch thread)
-instead of on worker threads.
+session, would make a sparse query in a dense fleet pay for the whole
+fleet's appetite.  The service routes per query instead — one stack-machine
+pass computes, per admitted event, the bitmask of plans that actually need
+it — and drives the per-query runtimes inline (round-robin on the dispatch
+thread).
 
-This experiment measures both claims on the bibliography fleet and the
-XMark auction fleet:
-
-* **routing**: for each query, the events routed to it versus
-  ``events_forwarded`` (what the union filter would have broadcast to every
-  session).  The acceptance bar: on the bib 6-query fleet, at least one
-  sparse query receives *strictly fewer* events than the union forwarded
-  count.
-* **execution modes**: wall-clock of the same pass under
-  ``execution="threads"`` (PR 1 model: one worker per query behind a
-  bounded channel) and ``execution="inline"`` (no threads, re-entrant
-  evaluator generators).
+This experiment measures routing on the bibliography fleet and the XMark
+auction fleet: for each query, the events routed to it versus
+``events_forwarded`` (what the union filter would have broadcast to every
+session).  The acceptance bar: on the bib 6-query fleet, at least one
+sparse query receives *strictly fewer* events than the union forwarded
+count.  The pass's wall-clock is reported beside the counts.
 
 Correctness is asserted throughout: every query's output must be
-byte-identical to its solo ``FluxEngine`` run in *both* modes.  Results are
-written to ``benchmarks/results/s2_perquery_routing.{json,txt}``.
+byte-identical to its solo ``FluxEngine`` run.  Results are written to
+``benchmarks/results/s2_perquery_routing.{json,txt}``.
 """
 
 from __future__ import annotations
@@ -55,8 +49,8 @@ def _solo_outputs(dtd, specs, document) -> Dict[str, str]:
     return {spec.key: engine.execute(spec.xquery, document).output for spec in specs}
 
 
-def _run_mode(dtd, specs, document, execution: str) -> dict:
-    service = QueryService(dtd, execution=execution)
+def _run_pass(dtd, specs, document) -> dict:
+    service = QueryService(dtd)
     for spec in specs:
         service.register(spec.xquery, key=spec.key)
     started = time.perf_counter()
@@ -82,24 +76,15 @@ def test_s2_routing_beats_union_broadcast(
     specs = queries_for_workload(workload)
     solo = _solo_outputs(dtd, specs, document)
 
-    holder = {}
+    routed = benchmark.pedantic(
+        _run_pass, args=(dtd, specs, document), rounds=1, iterations=1
+    )
 
-    def target():
-        holder["threads"] = _run_mode(dtd, specs, document, "threads")
-        return holder["threads"]
+    # Correctness first: byte-identical to solo.
+    assert routed["outputs"] == solo
 
-    benchmark.pedantic(target, rounds=1, iterations=1)
-    threads = holder["threads"]
-    inline = _run_mode(dtd, specs, document, "inline")
-
-    # Correctness first: byte-identical to solo in both execution modes.
-    assert threads["outputs"] == solo
-    assert inline["outputs"] == solo
-
-    forwarded = threads["events_forwarded"]
-    per_query = threads["per_query_forwarded"]
-    # Routing must agree between modes (it is independent of the driver).
-    assert per_query == inline["per_query_forwarded"]
+    forwarded = routed["events_forwarded"]
+    per_query = routed["per_query_forwarded"]
     # Every query gets at most the union broadcast...
     assert all(routed <= forwarded for routed in per_query.values())
     sparse = {key: routed for key, routed in per_query.items() if routed < forwarded}
@@ -114,11 +99,9 @@ def test_s2_routing_beats_union_broadcast(
         "document_bytes": len(document),
         "events_forwarded_union": forwarded,
         "per_query_forwarded": per_query,
-        "per_query_pruned": threads["per_query_pruned"],
+        "per_query_pruned": routed["per_query_pruned"],
         "sparse_queries": sorted(sparse),
-        "elapsed_seconds_threads": threads["elapsed_seconds"],
-        "elapsed_seconds_inline": inline["elapsed_seconds"],
-        "inline_speedup": threads["elapsed_seconds"] / inline["elapsed_seconds"],
+        "elapsed_seconds": routed["elapsed_seconds"],
     }
     _REPORT[workload] = entry
     benchmark.extra_info.update(
@@ -137,7 +120,7 @@ def report_s2():
         json.dump(_REPORT, handle, indent=2, sort_keys=True)
     lines = [
         "S2: per-query routing — events routed to each query vs. the union"
-        " broadcast, threads vs. inline wall-clock",
+        " broadcast, and the pass's wall-clock",
         "",
     ]
     for workload in sorted(_REPORT):
@@ -145,9 +128,7 @@ def report_s2():
         lines.append(
             f"{workload}: {entry['queries']} queries, union forwarded"
             f" {entry['events_forwarded_union']} events;"
-            f" threads {entry['elapsed_seconds_threads'] * 1000:.1f} ms,"
-            f" inline {entry['elapsed_seconds_inline'] * 1000:.1f} ms"
-            f" ({entry['inline_speedup']:.2f}x)"
+            f" pass {entry['elapsed_seconds'] * 1000:.1f} ms"
         )
         lines.append(f"{'query':<12}{'routed':>10}{'suppressed':>12}{'share':>8}")
         forwarded = entry["events_forwarded_union"]

@@ -127,7 +127,7 @@ def _check_outputs(served, solo) -> None:
 
 
 def _run_single_loop(dtd, specs, documents, feeds: bool) -> dict:
-    service = QueryService(dtd, execution="inline")
+    service = QueryService(dtd)
     for spec in specs:
         service.register(spec.xquery, key=spec.key)
     stream = [LatencyFeed(doc) if feeds else doc for doc in documents]
@@ -139,7 +139,7 @@ def _run_single_loop(dtd, specs, documents, feeds: bool) -> dict:
 
 
 def _run_pool(dtd, specs, documents, workers: int, feeds: bool) -> dict:
-    pool = ServicePool(dtd, workers=workers, execution="inline")
+    pool = ServicePool(dtd, workers=workers)
     # Register the fleet *concurrently from every worker's mirror* — the
     # thundering-herd case the single-flight cache exists for: all workers
     # hit each query's key at the same instant (one barrier per query), so
@@ -195,7 +195,7 @@ def _fault_isolation(dtd, specs, documents, solo) -> dict:
     # A real document that goes bad halfway through: the pass has already
     # parsed and routed thousands of events when the parser fails.
     stream[bad_index] = stream[bad_index][: len(stream[bad_index]) // 2] + "<<<"
-    pool = ServicePool(dtd, workers=4, execution="inline")
+    pool = ServicePool(dtd, workers=4)
     for spec in specs:
         pool.register(spec.xquery, key=spec.key)
     served = list(pool.serve(LatencyFeed(doc) for doc in stream))

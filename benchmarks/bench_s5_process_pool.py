@@ -124,7 +124,7 @@ def _timed_serve(pool_or_service, stream) -> dict:
 
 
 def _run_single_loop(dtd, specs, documents, feeds: bool) -> dict:
-    service = QueryService(dtd, execution="inline")
+    service = QueryService(dtd)
     for spec in specs:
         service.register(spec.xquery, key=spec.key)
     stream = [
@@ -135,7 +135,7 @@ def _run_single_loop(dtd, specs, documents, feeds: bool) -> dict:
 
 
 def _run_thread_pool(dtd, specs, documents, workers: int, feeds: bool) -> dict:
-    pool = ServicePool(dtd, workers=workers, execution="inline")
+    pool = ServicePool(dtd, workers=workers)
     for spec in specs:
         pool.register(spec.xquery, key=spec.key)
     stream = [

@@ -261,7 +261,7 @@ def _summarize(runs_by_mode: Dict[str, List[dict]],
 
 def _run_inline(name: str, dtd, specs, documents, solo) -> dict:
     """All tiers on ONE service instance, hub swapped per timed run."""
-    service = QueryService(dtd, execution="inline")
+    service = QueryService(dtd)
     for spec in specs:
         service.register(spec.xquery, key=spec.key)
     hubs = {mode: _make_obs(mode) for mode in MODES}

@@ -76,7 +76,7 @@ def _measure(dtd, fleet, document, dedup: bool) -> dict:
     per-registration plan weight — the thing dedup removes — is part of
     the memory figure.  The timed pass runs with tracing off.
     """
-    service = QueryService(dtd, execution="inline", dedup=dedup)
+    service = QueryService(dtd, dedup=dedup)
     tracemalloc.start()
     try:
         for query in fleet:

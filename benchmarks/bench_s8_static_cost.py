@@ -61,12 +61,10 @@ _CONFIGS = {
 }
 
 #: The manual execution configurations auto competes against —
-#: (label, execution, pool workers); ``None`` workers is the plain
-#: unpooled serve loop.
+#: (label, pool workers); ``None`` workers is the plain unpooled serve loop.
 _MANUAL = [
-    ("inline", "inline", None),
-    ("threads", "threads", None),
-    ("inline-pool2", "inline", 2),
+    ("inline", None),
+    ("inline-pool2", 2),
 ]
 
 DOCUMENT_COUNT = 6
@@ -99,7 +97,7 @@ def measured_costs(dtd, specs, document) -> Dict[str, float]:
     The same shape as the static score (events dominate, buffering
     weighted in) but from a real shared pass's accounting.
     """
-    service = QueryService(dtd, execution="inline")
+    service = QueryService(dtd)
     for spec in specs:
         service.register(spec.xquery, key=spec.key)
     results = service.run_pass(document)
@@ -111,11 +109,11 @@ def measured_costs(dtd, specs, document) -> Dict[str, float]:
     }
 
 
-def serve_throughput(dtd, specs, documents, execution, workers) -> float:
+def serve_throughput(dtd, specs, documents, workers) -> float:
     """Parser bytes per second serving ``documents`` under one config."""
     total_bytes = sum(len(document) for document in documents)
     if workers is None:
-        service = QueryService(dtd, execution=execution)
+        service = QueryService(dtd)
         for spec in specs:
             service.register(spec.xquery, key=spec.key)
         started = time.perf_counter()
@@ -123,7 +121,7 @@ def serve_throughput(dtd, specs, documents, execution, workers) -> float:
             service.run_pass(document)
         elapsed = time.perf_counter() - started
     else:
-        pool = ServicePool(dtd, workers=workers, execution=execution)
+        pool = ServicePool(dtd, workers=workers)
         for spec in specs:
             pool.register(spec.xquery, key=spec.key)
         started = time.perf_counter()
@@ -158,8 +156,8 @@ def test_s8_static_cost(benchmark, workload):
 
         # --- 2. auto mode vs manual configurations -----------------------
         throughput = {
-            label: serve_throughput(dtd, specs, documents, execution, workers)
-            for label, execution, workers in _MANUAL
+            label: serve_throughput(dtd, specs, documents, workers)
+            for label, workers in _MANUAL
         }
         decision = select_mode(
             estimates,
@@ -170,7 +168,7 @@ def test_s8_static_cost(benchmark, workload):
         auto_workers = decision.workers if decision.pooled else None
         auto_execution = decision.execution
         auto_label = f"auto({auto_execution}, workers={auto_workers})"
-        auto = serve_throughput(dtd, specs, documents, auto_execution, auto_workers)
+        auto = serve_throughput(dtd, specs, documents, auto_workers)
         best_label, best = max(throughput.items(), key=lambda item: item[1])
 
         row.update(

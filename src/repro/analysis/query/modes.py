@@ -43,7 +43,7 @@ MAX_THREAD_WORKERS = 4
 class ModeDecision:
     """A resolved execution configuration plus the policy's reasoning."""
 
-    execution: str  # "inline" | "threads" | "async"
+    execution: str  # "inline": the one per-query driver
     backend: str  # "threads" | "processes"
     workers: Optional[int]  # None = no pool, serve in the driver
     reasons: Tuple[str, ...]

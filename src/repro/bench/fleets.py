@@ -14,16 +14,16 @@ bench alike:
   structure keys collide;
 * :func:`run_shared` registers the fleet on one
   :class:`~repro.service.service.QueryService` and serves one document in
-  a single shared pass (any execution mode, any chunking, dedup on or
-  off); :func:`run_shared_async` is the same through
+  a single shared pass (any chunking, dedup on or off);
+  :func:`run_shared_async` is the same through
   :class:`~repro.service.async_service.AsyncQueryService`;
 * :func:`run_solo` produces the ground truth: one independent
   :class:`~repro.engines.flux_engine.FluxEngine` execution per distinct
   query *text* (aliases are distinct texts, so each spelling is honestly
   re-evaluated, memoized only on exact text equality);
-* :func:`run_differential` sweeps execution modes × chunkings and raises
-  :class:`FleetOutputMismatch` unless every subscriber's shared output is
-  byte-identical to its solo output.
+* :func:`run_differential` sweeps front ends (inline, async) × chunkings
+  and raises :class:`FleetOutputMismatch` unless every subscriber's shared
+  output is byte-identical to its solo output.
 
 Everything is deterministic — same bases, same ``total``, same chunking →
 the same fleet and the same pass — so a failing configuration replays
@@ -133,7 +133,6 @@ def run_shared(
     fleet: Sequence[FleetQuery],
     document: str,
     dtd: Union[DTD, str, None] = None,
-    execution: str = "threads",
     chunking: Union[None, int, Sequence[int]] = None,
     dedup: bool = True,
     validate: bool = True,
@@ -143,9 +142,7 @@ def run_shared(
     Returns ``({key: output}, service)`` — the service comes back so
     callers can inspect structures, refcounts, and metrics after the pass.
     """
-    service = QueryService(
-        dtd=dtd, validate=validate, execution=execution, dedup=dedup
-    )
+    service = QueryService(dtd=dtd, validate=validate, dedup=dedup)
     for query in fleet:
         service.register(query.text, key=query.key)
     shared_pass = service.open_pass()
@@ -233,21 +230,23 @@ def run_differential(
     total: int,
     document: str,
     dtd: Union[DTD, str, None] = None,
-    executions: Sequence[str] = ("inline", "threads"),
+    executions: Sequence[str] = ("inline", "async"),
     chunkings: Sequence[Union[None, int, Sequence[int]]] = (None,),
-    include_async: bool = False,
     dedup: bool = True,
     validate: bool = True,
     sample: Optional[Iterable[str]] = None,
 ) -> Dict[str, object]:
     """Shared vs solo over every execution × chunking configuration.
 
+    ``executions`` names the front ends: ``"inline"`` (a
+    :class:`QueryService` pass, :func:`run_shared`) and ``"async"`` (the
+    same through :class:`AsyncQueryService`, :func:`run_shared_async`).
     Builds the fleet, computes the solo ground truth once (optionally on a
     ``sample`` of keys), then runs one shared pass per configuration and
     byte-compares every verified subscriber.  Raises
     :class:`FleetOutputMismatch` on the first disagreement; returns a
-    summary dict (fleet size, structure count observed by the service,
-    configurations checked) on success.
+    summary dict (fleet size, structure count observed by the inline
+    service, configurations checked) on success.
     """
     fleet = make_fleet(bases, total)
     solo = run_solo(fleet, document, dtd=dtd, validate=validate, keys=sample)
@@ -256,29 +255,16 @@ def run_differential(
     for execution in executions:
         for chunking in chunkings:
             configuration = f"execution={execution!r}, chunking={chunking!r}"
-            shared, service = run_shared(
-                fleet,
-                document,
-                dtd=dtd,
-                execution=execution,
-                chunking=chunking,
-                dedup=dedup,
-                validate=validate,
+            options = dict(
+                dtd=dtd, chunking=chunking, dedup=dedup, validate=validate
             )
-            _compare(solo, shared, configuration)
-            configurations.append(configuration)
-            structure_counts.append(service.metrics.last_pass.structures)
-    if include_async:
-        for chunking in chunkings:
-            configuration = f"execution='async', chunking={chunking!r}"
-            shared = run_shared_async(
-                fleet,
-                document,
-                dtd=dtd,
-                chunking=chunking,
-                dedup=dedup,
-                validate=validate,
-            )
+            if execution == "async":
+                shared = run_shared_async(fleet, document, **options)
+            elif execution == "inline":
+                shared, service = run_shared(fleet, document, **options)
+                structure_counts.append(service.metrics.last_pass.structures)
+            else:
+                raise ValueError(f"unknown execution {execution!r}")
             _compare(solo, shared, configuration)
             configurations.append(configuration)
     return {

@@ -22,8 +22,8 @@ Installed as the ``fluxrepro`` console script, or run as a module::
   multi-query :class:`~repro.service.QueryService`, so each document is
   parsed and validated once, not once per query; each query receives only
   the events the shared router deems relevant to *it*.  ``--execution``
-  picks the driver: per-query worker threads, the round-robin in-thread
-  scheduler (``inline``), or the asyncio front end over it (``async``).
+  picks the front end over the round-robin in-thread scheduler: plain
+  (``inline``, the default) or asyncio (``async``).
   ``--workers N`` upgrades the serve loop to a fault-isolated
   :class:`~repro.service.ServicePool`: N mirrored services sharing one
   plan cache shard the document stream, a document that fails mid-pass is
@@ -474,20 +474,14 @@ def _command_multi(args: argparse.Namespace) -> int:
     if args.backend == "processes" and args.workers is None:
         print("multi: --backend processes requires --workers N", file=sys.stderr)
         return 2
-    # The per-query driver *inside* each serving pass.  Unset means the
-    # backend's own default: worker threads in-process, but "inline" inside
-    # process-pool workers — there per-query threads buy no overlap, only
-    # handoff cost on top of the process parallelism.
+    # Unset follows --backend auto; otherwise it is the plain front end.
     if args.execution is None:
-        if args.backend == "auto":
-            args.execution = "auto"
-        else:
-            args.execution = "inline" if args.backend == "processes" else "threads"
+        args.execution = "auto" if args.backend == "auto" else "inline"
     if args.backend == "processes" and args.execution == "async":
         print(
-            "multi: --backend processes drives workers with the inline or "
-            "threads scheduler; --execution async is the asyncio front end "
-            "of the in-process backend",
+            "multi: --backend processes drives its workers with the inline "
+            "scheduler; --execution async is the asyncio front end of the "
+            "in-process backend",
             file=sys.stderr,
         )
         return 2
@@ -652,21 +646,14 @@ def _command_multi(args: argparse.Namespace) -> int:
         )
     elif args.backend == "processes":
         service = ProcessServicePool(
-            dtd,
-            workers=workers,
-            validate=validate,
-            execution=args.execution,
-            plan_cache=plan_cache,
-            obs=obs,
+            dtd, workers=workers, validate=validate, plan_cache=plan_cache, obs=obs
         )
     elif pooled:
         service = ServicePool(
-            dtd, workers=workers, validate=validate, execution=args.execution,
-            plan_cache=plan_cache, obs=obs,
+            dtd, workers=workers, validate=validate, plan_cache=plan_cache, obs=obs
         )
     else:
-        service = QueryService(dtd, validate=validate, execution=args.execution,
-                               plan_cache=plan_cache, obs=obs)
+        service = QueryService(dtd, validate=validate, plan_cache=plan_cache, obs=obs)
     for key, text in queries:
         service.register(text, key=key)
 
@@ -844,15 +831,13 @@ def build_parser() -> argparse.ArgumentParser:
     multi_parser.add_argument(
         "--execution",
         "-x",
-        choices=["threads", "inline", "async", "auto"],
+        choices=["inline", "async", "auto"],
         default=None,
-        help="per-query runtime driver: worker threads (the default, "
-        "except inside --backend processes workers, where inline is the "
-        "default — per-query threads there only add handoff cost), the "
-        "inline round-robin scheduler on the dispatch thread, the "
-        "asyncio front end over the inline scheduler, or auto — let the "
-        "static cost model pick from the fleet's predicted per-event "
-        "cost, the document sizes, and the machine's CPU count",
+        help="front end over the round-robin scheduler that drives every "
+        "query on the dispatch thread: inline (the default), the asyncio "
+        "front end, or auto — let the static cost model pick from the "
+        "fleet's predicted per-event cost, the document sizes, and the "
+        "machine's CPU count (the default under --backend auto)",
     )
     multi_parser.add_argument(
         "--workers",

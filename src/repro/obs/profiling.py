@@ -63,7 +63,7 @@ class StageProfiler:
     manager enables/disables the one shared profiler, so stats accumulate
     over a whole ``multi`` run), then :meth:`report` once at the end.
     Not re-entrant — one profiler, one thread at a time, which matches
-    the inline execution mode ``--profile`` is most useful with.
+    the single-threaded serve loop ``--profile`` is most useful with.
     """
 
     def __init__(self, top: int = 5):

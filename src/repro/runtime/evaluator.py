@@ -44,27 +44,17 @@ the paper's pull semantics unchanged.
 
 :class:`EvaluatorSession` inverts that control so callers can *push* events
 instead, giving every compiled plan a ``start() / feed(events) / finish()``
-life cycle in one of two execution modes:
-
-* ``"threads"`` — the evaluator runs on a worker thread draining a bounded
-  :class:`EventChannel`; ``feed`` hands chunks across with back-pressure.
-* ``"inline"`` — no worker thread at all: ``feed`` appends events to an
-  in-process buffer and resumes the suspended evaluation generator on the
-  *caller's* thread until it starves again.  This removes the per-chunk
-  GIL hand-off entirely and is what the multi-query service's round-robin
-  scheduler drives.
-
-Both modes are the substrate of the multi-query service (``repro.service``),
-where one shared document scan fans out to many concurrently executing
-plans.
+life cycle without a thread of its own: ``feed`` appends events to an
+in-process buffer and resumes the suspended evaluation generator on the
+*caller's* thread until it starves again.  This is the substrate of the
+multi-query service (``repro.service``), whose dispatcher round-robins one
+shared document scan across many suspended plans.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import queue
-import threading
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -551,53 +541,8 @@ def _chain_one(first: Event, rest: Iterator[Event]) -> Iterator[Event]:
 # ---------------------------------------------------------------- push mode
 
 
-_CHANNEL_CLOSED = object()
-
-
-class EventChannel:
-    """Bounded hand-off of event chunks from a producer to a consumer thread.
-
-    The producer :meth:`put`s lists of events (chunks, to amortize queue
-    overhead) and finally :meth:`close`s the channel; the consumer iterates
-    events.  The queue bound provides back-pressure: a slow consumer stalls
-    the producer instead of buffering the document.  When the consumer stops
-    early (the plan finished without draining the stream, or it failed), the
-    producer is released and further chunks are dropped.
-    """
-
-    def __init__(self, maxsize: int = 16):
-        self._queue: "queue.Queue" = queue.Queue(maxsize)
-        self._consumer_done = threading.Event()
-
-    def put(self, chunk: List[Event]) -> bool:
-        """Enqueue ``chunk``; returns False if the consumer already stopped."""
-        while not self._consumer_done.is_set():
-            try:
-                self._queue.put(chunk, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def close(self) -> None:
-        """Signal end of input to the consumer."""
-        self.put(_CHANNEL_CLOSED)
-
-    def mark_consumer_done(self) -> None:
-        """Called by the consumer when it stops reading (normally or not)."""
-        self._consumer_done.set()
-
-    def __iter__(self) -> Iterator[Event]:
-        while True:
-            chunk = self._queue.get()
-            if chunk is _CHANNEL_CLOSED:
-                return
-            for event in chunk:
-                yield event
-
-
 class _InlineSource:
-    """Non-blocking event source backing an inline (threadless) session.
+    """Non-blocking event source backing an :class:`EvaluatorSession`.
 
     ``feed`` appends events; iteration pops them, raising
     :class:`StarvedInput` when the buffer is empty but the input is still
@@ -628,26 +573,6 @@ class _InlineSource:
         raise StarvedInput
 
 
-def _drive_evaluator(evaluator, channel, sink, stats, error_box) -> None:
-    """Worker-thread body of an :class:`EvaluatorSession`.
-
-    A module-level function on purpose: the thread must not hold a
-    reference to the session object, or a session dropped without
-    ``finish()``/``abort()`` could never be garbage collected (its
-    finalizer releases the blocked worker).
-    """
-    try:
-        evaluator.run(iter(channel), sink, stats)
-    except BaseException as exc:  # re-raised on the caller's thread
-        error_box.append(exc)
-    finally:
-        channel.mark_consumer_done()
-
-
-#: Execution modes of an :class:`EvaluatorSession`.
-EXECUTION_MODES = ("threads", "inline")
-
-
 class EvaluatorSession:
     """Push-based execution of one physical plan.
 
@@ -658,22 +583,15 @@ class EvaluatorSession:
     >>> session.feed(events); session.feed(more)       # doctest: +SKIP
     >>> output, stats = session.finish()               # doctest: +SKIP
 
-    in one of two modes (``execution``):
-
-    * ``"threads"`` (default) — a :class:`StreamedEvaluator` runs on a
-      worker thread behind a bounded :class:`EventChannel`; ``feed`` blocks
-      when the consumer lags (back-pressure).
-    * ``"inline"`` — no worker thread: the evaluation is a suspended
-      generator that ``feed`` resumes on the caller's thread until it
-      starves again.  Evaluation errors surface synchronously from the
-      ``feed`` that triggers them.
+    with no thread of its own: the evaluation is a suspended generator that
+    ``feed`` resumes on the caller's thread until it starves again, so
+    evaluation errors surface synchronously from the ``feed`` that
+    triggers them.
 
     ``feed`` accepts any iterable of events and may be called repeatedly;
     ``finish`` closes the input, drives the evaluation to completion,
     re-raises any evaluation error, and returns ``(output_xml, stats)``.
-    The session is single-use; one dropped without ``finish()``/``abort()``
-    is aborted by its finalizer, releasing the worker thread (a no-op in
-    inline mode, which has no thread to strand).
+    The session is single-use.
     """
 
     def __init__(
@@ -682,33 +600,16 @@ class EvaluatorSession:
         dtd: Optional[DTD] = None,
         validate: bool = True,
         stats: Optional[RuntimeStats] = None,
-        channel_size: int = 16,
-        execution: str = "threads",
     ):
-        if execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode {execution!r}; expected one of {EXECUTION_MODES}"
-            )
         self._evaluator = StreamedEvaluator(plan, dtd, validate=validate)
         self._stats = stats if stats is not None else RuntimeStats()
-        self._execution = execution
-        self._channel: Optional[EventChannel] = (
-            EventChannel(channel_size) if execution == "threads" else None
-        )
-        self._source: Optional[_InlineSource] = (
-            _InlineSource() if execution == "inline" else None
-        )
+        self._source = _InlineSource()
         self._generator = None
         self._sink = io.StringIO()
-        self._thread: Optional[threading.Thread] = None
         self._started = False
-        self._error_box: List[BaseException] = []
+        self._error: Optional[BaseException] = None
         self._result: Optional[Tuple[str, RuntimeStats]] = None
         self._aborted = False
-
-    @property
-    def execution(self) -> str:
-        return self._execution
 
     @property
     def started(self) -> bool:
@@ -718,29 +619,17 @@ class EvaluatorSession:
     def finished(self) -> bool:
         return self._result is not None
 
-    @property
-    def _error(self) -> Optional[BaseException]:
-        return self._error_box[0] if self._error_box else None
-
     def start(self) -> "EvaluatorSession":
         """Begin execution; must be called once before :meth:`feed`."""
         if self._started:
             raise EvaluationError("session already started")
         self._started = True
-        if self._execution == "inline":
-            self._generator = self._evaluator.execute(self._source, self._sink, self._stats)
-            self._resume()  # run up to the first input pull
-        else:
-            self._thread = threading.Thread(
-                target=_drive_evaluator,
-                args=(self._evaluator, self._channel, self._sink, self._stats, self._error_box),
-                daemon=True,
-            )
-            self._thread.start()
+        self._generator = self._evaluator.execute(self._source, self._sink, self._stats)
+        self._resume()  # run up to the first input pull
         return self
 
     def _resume(self) -> None:
-        """Advance the inline generator until it starves or completes.
+        """Advance the generator until it starves or completes.
 
         One resume consumes everything currently buffered: the generator
         only yields again once the source raises :class:`StarvedInput`.
@@ -754,7 +643,7 @@ class EvaluatorSession:
             self._generator = None
         except BaseException as exc:
             self._generator = None
-            self._error_box.append(exc)
+            self._error = exc
             raise
 
     def feed(self, events: Iterable[Event]) -> None:
@@ -766,21 +655,13 @@ class EvaluatorSession:
         if self._result is not None:
             raise EvaluationError("feed() after finish()")
         if self._error is not None:
-            # Fail fast instead of at finish(); finish() re-raises too.
             raise self._error
-        if self._execution == "inline":
-            if self._generator is None:
-                # The plan already finished (early termination): surplus
-                # input is dropped, mirroring the channel's behaviour.
-                return
-            self._source.extend(events)
-            self._resume()
+        if self._generator is None:
+            # The plan already finished (early termination): surplus input
+            # is dropped.
             return
-        chunk = events if isinstance(events, list) else list(events)
-        if chunk:
-            self._channel.put(chunk)
-        if self._error is not None:
-            raise self._error
+        self._source.extend(events)
+        self._resume()
 
     def finish(self) -> Tuple[str, RuntimeStats]:
         """Close the input and return ``(output_xml, stats)``.
@@ -793,16 +674,10 @@ class EvaluatorSession:
         if self._aborted:
             raise EvaluationError("finish() on an aborted session")
         if self._result is None:
-            if self._execution == "inline":
-                self._source.close()
-                if self._error is not None:
-                    raise self._error
-                self._resume()  # end of input: the generator must complete
-            else:
-                self._channel.close()
-                self._thread.join()
-                if self._error is not None:
-                    raise self._error
+            self._source.close()
+            if self._error is not None:
+                raise self._error
+            self._resume()  # end of input: the generator must complete
             self._result = (self._sink.getvalue(), self._stats)
         return self._result
 
@@ -811,16 +686,6 @@ class EvaluatorSession:
         if not self._started or self._result is not None or self._aborted:
             return
         self._aborted = True
-        if self._execution == "inline":
-            generator, self._generator = self._generator, None
-            if generator is not None:
-                generator.close()
-            return
-        self._channel.close()
-        self._thread.join()
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        try:
-            self.abort()
-        except Exception:
-            pass
+        generator, self._generator = self._generator, None
+        if generator is not None:
+            generator.close()

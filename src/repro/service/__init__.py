@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`QueryService` — register many XQueries, execute them all in a
-  single shared pass with push-based ingestion, driven by worker threads
-  or the inline round-robin scheduler (``execution="threads"|"inline"``);
+  single shared pass with push-based ingestion, the per-query evaluations
+  round-robined as suspendable generators on the feeding thread;
   :meth:`QueryService.serve` is the long-lived loop (one pass per document
   of a stream, registration churn allowed between passes);
 * :class:`ServicePool` / :class:`AsyncServicePool` — the fault-isolated
@@ -22,7 +22,7 @@ Public surface:
   :class:`FileDocument` / :class:`DocumentSource` let workers materialize
   documents themselves instead of shipping text through the parent;
 * :class:`AsyncQueryService` / :class:`AsyncSharedPass` — the asyncio
-  ingestion front end over the inline scheduler (coroutine ``feed`` /
+  ingestion front end over the same scheduler (coroutine ``feed`` /
   ``finish`` / ``serve``);
 * :class:`SharedPass` — one in-flight pass (``feed(text)`` / ``finish()``);
   one pass is in flight per service at a time
@@ -39,11 +39,10 @@ Public surface:
   serve-loop step's results and pass metrics.
 
 See ``docs/ARCHITECTURE.md`` for the event flow, lifecycle state machines,
-and execution modes.
+and serving front ends.
 """
 
 from repro.errors import PassInProgressError
-from repro.runtime.evaluator import EXECUTION_MODES
 from repro.runtime.plan_cache import (
     CacheStats,
     PlanCache,
@@ -101,5 +100,4 @@ __all__ = [
     "ServiceMetrics",
     "PassMetrics",
     "PoolMetrics",
-    "EXECUTION_MODES",
 ]

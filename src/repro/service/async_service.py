@@ -6,9 +6,9 @@ thread.  That makes a coroutine driver mechanical — there is no thread to
 hand events to, so ``await``-ing between feeds is all the cooperation an
 event loop needs.  :class:`AsyncQueryService` packages that:
 
-* it owns an inline-mode :class:`~repro.service.service.QueryService`
-  (``execution="inline"`` is forced: the threads mode would block the event
-  loop on channel back-pressure, exactly what asyncio must never do);
+* it owns a :class:`~repro.service.service.QueryService`, whose per-query
+  evaluations suspend instead of blocking, so nothing here ever blocks the
+  event loop;
 * :meth:`AsyncQueryService.open_pass` returns an :class:`AsyncSharedPass`
   whose ``await feed(chunk)`` parses, routes, and round-robins the
   suspended evaluations synchronously — the work is CPU-bound and brief per
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import io
-from typing import AsyncIterator, Dict, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, AsyncIterator, Dict, Iterable, List, Optional, Union
 
 from repro.dtd.schema import DTD
 from repro.engines.base import QueryResult
@@ -40,12 +40,15 @@ from repro.service.metrics import PassMetrics, ServiceMetrics
 from repro.service.service import QueryService, ServedDocument, _READ_CHUNK
 from repro.service.session import RegisteredQuery, SharedPass
 
+if TYPE_CHECKING:
+    from repro.service.pool_core import Shard
+
 
 class AsyncSharedPass:
     """One shared pass driven from a coroutine.
 
-    An async wrapper over :class:`~repro.service.session.SharedPass` whose
-    sessions are inline (threadless) evaluations.  ``await feed(text)``
+    An async wrapper over :class:`~repro.service.session.SharedPass`, whose
+    sessions are threadless, suspendable evaluations.  ``await feed(text)``
     advances parsing, routing, and every suspended per-query evaluation on
     the current thread, then cedes the event loop; ``await finish()``
     closes the input and returns ``{key: QueryResult}``.  Lifecycle mirrors
@@ -111,10 +114,9 @@ class AsyncQueryService:
     """The multi-query service behind an asyncio-native API.
 
     Construction mirrors :class:`~repro.service.service.QueryService`
-    (schema, validation flag, shareable plan cache) minus ``execution``:
-    the inline scheduler is mandatory, because it is what lets one OS
-    thread — the event loop's — interleave ingestion and N query
-    evaluations without blocking.
+    (schema, validation flag, shareable plan cache): its suspendable
+    per-query evaluations are what let one OS thread — the event loop's —
+    interleave ingestion and N query evaluations without blocking.
 
     Registration (:meth:`register` / :meth:`unregister`) is synchronous and
     inherited unchanged: compilation happens at registration time, off the
@@ -137,7 +139,6 @@ class AsyncQueryService:
             validate=validate,
             plan_cache=plan_cache,
             cache_size=cache_size,
-            execution="inline",
             obs=obs,
             dedup=dedup,
         )
@@ -209,13 +210,41 @@ class AsyncQueryService:
         it arrives), awaited chunk by chunk so slow delivery never blocks
         the event loop.
         """
-        shared_pass = self.open_pass()
+        return (await self._serve_document(document)).results
+
+    async def _serve_document(
+        self,
+        document,
+        index: int = 0,
+        chunk_size: int = 256,
+        shard: "Optional[Shard]" = None,
+    ) -> ServedDocument:
+        """One document's pass: open, feed, finish, record observations.
+
+        The coroutine twin of :meth:`QueryService._serve_document`, which
+        documents the ``shard`` contract; :meth:`run_pass`, :meth:`serve`
+        and the asyncio pool's workers all run their documents through it.
+        """
+        trace_id = shard.trace_id if shard is not None else None
+        shared_pass = self.open_pass(chunk_size=chunk_size, trace_id=trace_id)
         try:
             await self._feed_document(shared_pass, document)
-            return await shared_pass.finish()
+            results = await shared_pass.finish()
+        except Exception as exc:
+            if shard is None:
+                shared_pass.abort()
+                raise
+            return shard.fault(shared_pass, exc)
         except BaseException:
             shared_pass.abort()
             raise
+        self._service._record_observations(shared_pass._pass, results)
+        return ServedDocument(
+            index=index,
+            results=results,
+            metrics=shared_pass.metrics,
+            worker=shard.worker if shard is not None else None,
+        )
 
     async def _feed_document(self, shared_pass: AsyncSharedPass, document) -> None:
         if isinstance(document, str):
@@ -266,14 +295,5 @@ class AsyncQueryService:
                 document = await iterator.__anext__()
             except StopAsyncIteration:
                 return
-            shared_pass = self.open_pass(chunk_size=chunk_size)
-            try:
-                await self._feed_document(shared_pass, document)
-                results = await shared_pass.finish()
-            except BaseException:
-                shared_pass.abort()
-                raise
-            yield ServedDocument(
-                index=index, results=results, metrics=shared_pass.metrics
-            )
+            yield await self._serve_document(document, index, chunk_size)
             index += 1

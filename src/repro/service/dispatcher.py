@@ -424,14 +424,13 @@ class SharedDispatcher:
     :class:`~repro.dtd.validator.StreamingValidator` over the *unfiltered*
     stream) and batches routed events into per-session chunks so the
     per-session hand-off cost is amortized.  Draining is round-robin in
-    registration order: with inline sessions this *is* the scheduler — each
-    ``feed`` re-enters that session's evaluation generator on this thread
-    until it has consumed its chunk.
+    registration order, and this *is* the scheduler — each ``feed``
+    re-enters that session's evaluation generator on this thread until it
+    has consumed its chunk.
 
     Lifecycle: one dispatcher per pass; ``dispatch`` any number of times,
     then ``flush`` exactly once (the pass's ``finish`` does).  Not
-    thread-safe — driven by the pass's single feeding thread; the sessions
-    it feeds provide their own cross-thread hand-off in threads mode.
+    thread-safe — driven by the pass's single feeding thread.
     """
 
     def __init__(
@@ -479,8 +478,8 @@ class SharedDispatcher:
         """:meth:`dispatch`, accumulating per-stage wall time into ``times``.
 
         The observability-enabled twin: routing time (``route``), session
-        consumption time (``evaluate`` — in inline mode the fed session
-        re-enters its evaluation generator right here), and the residual
+        consumption time (``evaluate`` — the fed session re-enters its
+        evaluation generator right here), and the residual
         fan-out bookkeeping (``dispatch``) are separated with
         ``perf_counter`` pairs.  This per-event timing cost is exactly why
         the twin exists: :meth:`dispatch` stays byte-identical to the

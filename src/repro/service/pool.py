@@ -64,10 +64,10 @@ import time
 from typing import Iterable, Iterator, List, Optional, Union
 
 from repro.dtd.schema import DTD
-from repro.obs import Observability, new_trace_id
+from repro.obs import Observability
 from repro.runtime.plan_cache import PlanCache
 from repro.service.async_service import AsyncQueryService, _iter_documents
-from repro.service.pool_core import ServiceBackedPool
+from repro.service.pool_core import ServiceBackedPool, Shard
 from repro.service.service import QueryService, ServedDocument
 
 
@@ -81,10 +81,8 @@ class ServicePool(ServiceBackedPool):
         ``None``), parsed once.
     workers:
         Pool size — how many documents may be in flight at once.
-    validate / execution:
-        Forwarded to every worker ``QueryService`` (``execution`` picks how
-        each worker drives its per-query runtimes: ``"threads"`` or
-        ``"inline"``; the pool's own sharding threads are separate).
+    validate:
+        Forwarded to every worker ``QueryService``.
     plan_cache:
         An existing cache to share; by default the pool owns one cache of
         ``cache_size`` plans that all its workers compile through.
@@ -103,18 +101,15 @@ class ServicePool(ServiceBackedPool):
         validate: bool = True,
         plan_cache: Optional[PlanCache] = None,
         cache_size: int = 128,
-        execution: str = "threads",
         obs: Optional[Observability] = None,
     ):
         super().__init__(dtd, workers, plan_cache, cache_size, obs=obs)
-        self.execution = execution
         worker_obs = obs.for_pool_worker() if obs is not None else None
         self._services = [
             QueryService(
                 self.dtd,
                 validate=validate,
                 plan_cache=self.plan_cache,
-                execution=execution,
                 obs=worker_obs,
             )
             for _ in range(workers)
@@ -225,68 +220,14 @@ class ServicePool(ServiceBackedPool):
         document: Union[str, io.TextIOBase],
         chunk_size: int,
     ) -> ServedDocument:
-        """One worker pass over one document, fault-isolated.
-
-        An ``Exception`` mid-pass aborts that pass (releasing the worker's
-        slot and its per-query sessions) and is folded into an error-tagged
-        :class:`ServedDocument`; anything harsher propagates to the caller.
-
-        With tracing on, the whole shard — pass included — runs under one
-        trace id minted here, and a ``pool.shard`` span brackets the
-        worker's pass span; a fault-isolated failure is logged as
-        ``pool.fault`` with the same trace id.
-        """
-        obs = self.obs
-        tracing = obs is not None and obs.tracer is not None
-        trace_id = new_trace_id() if tracing else None
-        shard_span = (
-            obs.tracer.span(
-                "pool.shard", trace_id=trace_id, worker=worker_id, index=index
-            )
-            if tracing
-            else None
-        )
+        """One worker pass over one document, fault-isolated by its
+        :class:`~repro.service.pool_core.Shard` (the pass joins the shard's
+        trace, and a failure becomes an error-tagged outcome)."""
+        shard = Shard(index, worker_id, self.obs)
         try:
-            shared_pass = service.open_pass(chunk_size=chunk_size, trace_id=trace_id)
-            try:
-                service._feed_document(shared_pass, document)
-                results = shared_pass.finish()
-            except Exception as exc:
-                shared_pass.abort()
-                # Drop the traceback: its frames pin the document text and
-                # the aborted pass graph for the outcome's lifetime, and a
-                # serving loop may accumulate many error outcomes.
-                exc.__traceback__ = None
-                if obs is not None:
-                    obs.log(
-                        "pool.fault",
-                        worker=worker_id,
-                        index=index,
-                        error=type(exc).__name__,
-                        trace_id=trace_id,
-                    )
-                if shard_span is not None:
-                    shard_span.set(outcome="error")
-                return ServedDocument(
-                    index=index,
-                    results={},
-                    metrics=shared_pass.metrics,
-                    outcome="error",
-                    error=exc,
-                    worker=worker_id,
-                )
-            except BaseException:
-                shared_pass.abort()
-                raise
-            return ServedDocument(
-                index=index,
-                results=results,
-                metrics=shared_pass.metrics,
-                worker=worker_id,
-            )
+            return service._serve_document(document, index, chunk_size, shard)
         finally:
-            if shard_span is not None:
-                shard_span.finish()
+            shard.finish()
 
 
 class AsyncServicePool(ServiceBackedPool):
@@ -407,54 +348,8 @@ class AsyncServicePool(ServiceBackedPool):
         document,
         chunk_size: int,
     ) -> ServedDocument:
-        obs = self.obs
-        tracing = obs is not None and obs.tracer is not None
-        trace_id = new_trace_id() if tracing else None
-        shard_span = (
-            obs.tracer.span(
-                "pool.shard", trace_id=trace_id, worker=worker_id, index=index
-            )
-            if tracing
-            else None
-        )
+        shard = Shard(index, worker_id, self.obs)
         try:
-            shared_pass = service.open_pass(chunk_size=chunk_size, trace_id=trace_id)
-            try:
-                await service._feed_document(shared_pass, document)
-                results = await shared_pass.finish()
-            except Exception as exc:
-                shared_pass.abort()
-                # Drop the traceback: its frames pin the document text and
-                # the aborted pass graph for the outcome's lifetime, and a
-                # serving loop may accumulate many error outcomes.
-                exc.__traceback__ = None
-                if obs is not None:
-                    obs.log(
-                        "pool.fault",
-                        worker=worker_id,
-                        index=index,
-                        error=type(exc).__name__,
-                        trace_id=trace_id,
-                    )
-                if shard_span is not None:
-                    shard_span.set(outcome="error")
-                return ServedDocument(
-                    index=index,
-                    results={},
-                    metrics=shared_pass.metrics,
-                    outcome="error",
-                    error=exc,
-                    worker=worker_id,
-                )
-            except BaseException:
-                shared_pass.abort()
-                raise
-            return ServedDocument(
-                index=index,
-                results=results,
-                metrics=shared_pass.metrics,
-                worker=worker_id,
-            )
+            return await service._serve_document(document, index, chunk_size, shard)
         finally:
-            if shard_span is not None:
-                shard_span.finish()
+            shard.finish()

@@ -17,6 +17,9 @@ architecture, and lives here:
 * **the one-serve-loop-at-a-time guard** — a second ``serve`` raises
   ``RuntimeError``, and registrations are rejected while a loop runs
   (mutating N mirrors under a running shard would tear the mirror);
+* **one fault fold** — :class:`Shard` carries one document's trip through
+  a worker (its trace id and ``pool.shard`` span) and turns a failed pass
+  into an error-tagged outcome, for all three backends;
 * **delivered-outcome accounting** — ok/failed counters by worker id,
   updated as results are *yielded* (a result drained away by a closed loop
   was never served to anyone), aggregated into
@@ -38,10 +41,80 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.dtd.parser import parse_dtd
 from repro.dtd.schema import DTD
-from repro.obs import Observability
+from repro.obs import Observability, new_trace_id
 from repro.runtime.plan_cache import PlanCache
-from repro.service.metrics import PoolMetrics, ServiceMetrics
+from repro.service.metrics import PassMetrics, PoolMetrics, ServiceMetrics
+from repro.service.service import ServedDocument
 from repro.service.session import RegisteredQuery
+
+
+class Shard:
+    """One document's trip through a pool worker, and its fault fold.
+
+    With tracing on (``obs`` carries a tracer) the shard mints the trace id
+    its pass joins and opens a ``pool.shard`` span around it; a process
+    worker instead passes the ``trace_id`` the parent stamped on the
+    document.  :meth:`fault` is the one place a failed pass becomes an
+    error-tagged :class:`~repro.service.service.ServedDocument`, on every
+    backend.
+    """
+
+    __slots__ = ("index", "worker", "obs", "trace_id", "span")
+
+    def __init__(self, index: int, worker: int,
+                 obs: Optional[Observability] = None,
+                 trace_id: Optional[str] = None):
+        self.index = index
+        self.worker = worker
+        self.obs = obs
+        tracing = obs is not None and obs.tracer is not None
+        if tracing and trace_id is None:
+            trace_id = new_trace_id()
+        self.trace_id = trace_id
+        self.span = (
+            obs.tracer.span(
+                "pool.shard", trace_id=self.trace_id, worker=worker, index=index
+            )
+            if tracing
+            else None
+        )
+
+    def fault(self, shared_pass, exc: Exception) -> ServedDocument:
+        """Abort ``shared_pass`` (``None`` if none opened) and fold ``exc``
+        into an error outcome carrying the pass's partial metrics.
+
+        The traceback is dropped: its frames pin the document text and the
+        aborted pass graph for the outcome's lifetime, and a serving loop
+        may accumulate many error outcomes.
+        """
+        metrics = PassMetrics()
+        if shared_pass is not None:
+            shared_pass.abort()
+            metrics = shared_pass.metrics
+        exc.__traceback__ = None
+        if self.obs is not None:
+            self.obs.log(
+                "pool.fault",
+                worker=self.worker,
+                index=self.index,
+                error=type(exc).__name__,
+                trace_id=self.trace_id,
+            )
+        if self.span is not None:
+            self.span.set(outcome="error")
+        return ServedDocument(
+            index=self.index,
+            results={},
+            metrics=metrics,
+            outcome="error",
+            error=exc,
+            worker=self.worker,
+        )
+
+    def finish(self) -> None:
+        """Close the ``pool.shard`` span, if tracing."""
+        if self.span is not None:
+            self.span.finish()
 
 
 class PoolCore:

@@ -105,8 +105,8 @@ from repro.errors import WorkerCrashError
 from repro.obs import MemorySink, Observability, Tracer, new_trace_id
 from repro.runtime.plan_cache import PlanArtifact, PlanCache, structure_key
 from repro.service.metrics import PassMetrics, ServiceMetrics
-from repro.service.pool_core import PoolCore
-from repro.service.service import QueryService, ServedDocument
+from repro.service.pool_core import PoolCore, Shard
+from repro.service.service import QueryService, ServedDocument, check_execution
 from repro.service.session import (
     PlanStructure,
     RegisteredQuery,
@@ -178,6 +178,25 @@ def _sanitize_exception(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
+class _CrashMidPass:
+    """Fault injection: a document that kills its worker mid-pass.
+
+    The first read hands the pass half the text; the next one exits the
+    process, with the document genuinely in flight, the way a segfault or
+    OOM kill would land.  Only used when the pool was built with a crash
+    marker (tests and benches).
+    """
+
+    def __init__(self, text: str):
+        self._half: Optional[str] = text[: len(text) // 2]
+
+    def read(self, size: int = -1) -> str:
+        if self._half is None:
+            os._exit(3)
+        half, self._half = self._half, None
+        return half
+
+
 def _serve_one_in_worker(
     service: QueryService,
     worker_id: int,
@@ -192,10 +211,12 @@ def _serve_one_in_worker(
     *Everything* an ordinary ``Exception`` can reach is inside the
     isolation — materializing a :class:`DocumentSource` included (a file
     deleted between dispatch and the worker's ``open()`` is a failed
-    *document*, not a failed worker, exactly as in the thread pool).
+    *document*, not a failed worker, exactly as in the thread pool).  The
+    parent logs the fault; the worker only sanitizes the error for the
+    trip home.
     """
+    shard = Shard(index, worker_id, trace_id=trace_id)
     closer = None
-    shared_pass = None
     try:
         if isinstance(document, DocumentSource):
             document = document.open()
@@ -206,46 +227,25 @@ def _serve_one_in_worker(
             and isinstance(document, str)
             and crash_marker in document
         ):
-            # Fault injection for tests/benches: die *mid-pass*, with the
-            # document genuinely in flight, the way a segfault or OOM kill
-            # would land.  Never triggers unless the pool was built with a
-            # crash marker.
-            shared_pass = service.open_pass(chunk_size=chunk_size, trace_id=trace_id)
-            shared_pass.feed(document[: len(document) // 2])
-            os._exit(3)
-        shared_pass = service.open_pass(chunk_size=chunk_size, trace_id=trace_id)
-        service._feed_document(shared_pass, document)
-        results = shared_pass.finish()
-    except Exception as exc:
-        if shared_pass is not None:
-            shared_pass.abort()
-        return ServedDocument(
-            index=index,
-            results={},
-            metrics=shared_pass.metrics if shared_pass is not None else PassMetrics(),
-            outcome="error",
-            error=_sanitize_exception(exc),
-            worker=worker_id,
-        )
+            document = _CrashMidPass(document)
+        served = service._serve_document(document, index, chunk_size, shard)
+    except Exception as exc:  # failed before a pass opened
+        served = shard.fault(None, exc)
     finally:
         if closer is not None:
             try:
                 closer()
             except Exception:
                 pass
-    return ServedDocument(
-        index=index,
-        results=results,
-        metrics=shared_pass.metrics,
-        worker=worker_id,
-    )
+    if served.error is not None:
+        served.error = _sanitize_exception(served.error)
+    return served
 
 
 def _worker_main(
     worker_id: int,
     dtd_blob: bytes,
     validate: bool,
-    execution: str,
     crash_marker: Optional[str],
     observe: bool,
     inbox,
@@ -276,7 +276,7 @@ def _worker_main(
     dtd = pickle.loads(dtd_blob)
     span_sink = MemorySink() if observe else None
     worker_obs = Observability(tracer=Tracer(span_sink)) if observe else None
-    service = QueryService(dtd, validate=validate, execution=execution, obs=worker_obs)
+    service = QueryService(dtd, validate=validate, obs=worker_obs)
     # Shipped plans by structure key: each artifact is unpickled once and
     # every alias registration reuses the same plan object, so the
     # service-side dedup (structure keys are memoized on the entry) is
@@ -367,11 +367,11 @@ class ProcessServicePool(PoolCore):
         worker at spawn.
     workers:
         Pool size — worker processes, and documents in flight at once.
-    validate / execution:
-        Forwarded to every worker's ``QueryService``.  ``execution``
-        defaults to ``"inline"``: inside a worker process there is nothing
-        to overlap, so per-query worker *threads* would only add handoff
-        cost on top of the process parallelism.
+    validate:
+        Forwarded to every worker's ``QueryService``.
+    execution:
+        Accepted for compatibility and must be ``"inline"``, the only
+        per-query driver; any other value raises ``ValueError``.
     plan_cache:
         An existing cache to share; by default the pool owns one.  All
         compilation happens in the parent, through this cache — workers
@@ -400,9 +400,9 @@ class ProcessServicePool(PoolCore):
         obs: Optional[Observability] = None,
         _crash_marker: Optional[str] = None,
     ):
+        check_execution(execution)
         super().__init__(dtd, workers, plan_cache, cache_size, obs=obs)
         self.validate = validate
-        self.execution = execution
         self._pipeline = OptimizerPipeline(self.dtd)
         self._ctx = multiprocessing.get_context(start_method)
         self._crash_marker = _crash_marker
@@ -571,7 +571,6 @@ class ProcessServicePool(PoolCore):
                 worker_id,
                 self._dtd_blob,
                 self.validate,
-                self.execution,
                 self._crash_marker,
                 self._observe_workers,
                 inbox_read,

@@ -44,7 +44,7 @@ from __future__ import annotations
 import io
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.core.optimizer import OptimizerPipeline
 from repro.dtd.parser import parse_dtd
@@ -53,13 +53,24 @@ from repro.engines.base import QueryResult
 from repro.errors import PassInProgressError
 from repro.obs import Observability
 from repro.runtime.compiler import CompiledQueryPlan
-from repro.runtime.evaluator import EXECUTION_MODES
 from repro.runtime.plan_cache import PlanCache, dtd_fingerprint, structure_key
 from repro.service.metrics import PassMetrics, ServiceMetrics
 from repro.service.session import PlanStructure, RegisteredQuery, SharedPass
 
+if TYPE_CHECKING:
+    from repro.service.pool_core import Shard
+
 #: Default read granularity when a pass ingests a file-like document.
 _READ_CHUNK = 1 << 16
+
+
+def check_execution(execution: str) -> None:
+    """Reject any per-query driver but ``"inline"``, the only one."""
+    if execution != "inline":
+        raise ValueError(
+            f"unknown execution mode {execution!r}; the only per-query "
+            "driver is 'inline'"
+        )
 
 
 class _NullContext:
@@ -127,10 +138,10 @@ class QueryService:
         serving different schemas); by default the service owns a fresh
         cache of ``cache_size`` plans.
     execution:
-        How each pass drives its per-query runtimes: ``"threads"`` (one
-        worker thread per query behind a bounded channel, the PR 1 model)
-        or ``"inline"`` (re-entrant evaluations round-robined on the
-        feeding thread — no worker threads, no channel hand-off).
+        Accepted for compatibility and must be ``"inline"``, the only
+        per-query driver: each pass round-robins its re-entrant
+        evaluations on the feeding thread.  Any other value raises
+        ``ValueError``.
     dedup:
         Whether structurally identical registrations (same
         :func:`~repro.runtime.plan_cache.structure_key`: identical
@@ -158,19 +169,15 @@ class QueryService:
         validate: bool = True,
         plan_cache: Optional[PlanCache] = None,
         cache_size: int = 128,
-        execution: str = "threads",
+        execution: str = "inline",
         obs: Optional[Observability] = None,
         dedup: bool = True,
     ):
+        check_execution(execution)
         if isinstance(dtd, str):
             dtd = parse_dtd(dtd)
-        if execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode {execution!r}; expected one of {EXECUTION_MODES}"
-            )
         self.dtd = dtd
         self.validate = validate
-        self.execution = execution
         self.obs = obs
         self.pipeline = OptimizerPipeline(dtd)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache(cache_size)
@@ -181,9 +188,8 @@ class QueryService:
         #: entries leave when their last subscriber unregisters.
         self._structures: "Dict[str, PlanStructure]" = {}
         self._counter = 0
-        # Weak on purpose: the service must not keep an abandoned pass
-        # alive, or its finalizer (which aborts and releases the per-query
-        # workers) could never run.
+        # Weak on purpose: an abandoned pass must not keep the slot
+        # occupied; it frees once the pass is garbage collected.
         self._active_pass_ref: Optional["weakref.ref[SharedPass]"] = None
 
     # ------------------------------------------------------- registration
@@ -341,7 +347,7 @@ class QueryService:
         ``None``, :meth:`open_pass` (and therefore :meth:`run_pass` and
         :meth:`serve`) raises :class:`~repro.errors.PassInProgressError`.
         The slot frees itself when the pass finishes or aborts (including
-        via its context manager or finalizer), or when an abandoned pass is
+        via its context manager), or when an abandoned pass is
         garbage collected.
         """
         if self._active_pass_ref is None:
@@ -388,7 +394,6 @@ class QueryService:
             self.validate,
             chunk_size=chunk_size,
             on_complete=self.metrics.record_pass,
-            execution=self.execution,
             on_close=self._pass_closed,
             obs=self.obs,
             trace_id=trace_id,
@@ -416,16 +421,47 @@ class QueryService:
         Returns ``{registration key: QueryResult}``; each result is
         byte-identical to a solo ``FluxEngine.execute`` of that query.
         """
-        shared_pass = self.open_pass()
+        return self._serve_document(document).results
+
+    def _serve_document(
+        self,
+        document: Union[str, io.TextIOBase],
+        index: int = 0,
+        chunk_size: int = 256,
+        shard: "Optional[Shard]" = None,
+    ) -> ServedDocument:
+        """One document's pass: open, feed, finish, record observations.
+
+        Every synchronous driver runs its documents through here — the
+        plain serve loop, :meth:`run_pass`, the thread pool's workers and
+        the process pool's worker processes.  A failing pass is aborted.
+        Without a ``shard`` the error propagates; a pool passes its
+        :class:`~repro.service.pool_core.Shard`, whose trace id the pass
+        joins and whose :meth:`~repro.service.pool_core.Shard.fault` folds
+        an ``Exception`` into an error-tagged outcome (anything harsher
+        still propagates).
+        """
+        trace_id = shard.trace_id if shard is not None else None
+        shared_pass = self.open_pass(chunk_size=chunk_size, trace_id=trace_id)
         try:
             with self._maybe_profile():
                 self._feed_document(shared_pass, document)
                 results = shared_pass.finish()
+        except Exception as exc:
+            if shard is None:
+                shared_pass.abort()
+                raise
+            return shard.fault(shared_pass, exc)
         except BaseException:
             shared_pass.abort()
             raise
         self._record_observations(shared_pass, results)
-        return results
+        return ServedDocument(
+            index=index,
+            results=results,
+            metrics=shared_pass.metrics,
+            worker=shard.worker if shard is not None else None,
+        )
 
     def _maybe_profile(self):
         """The pass profiler as a context manager, or a no-op without one."""
@@ -499,7 +535,7 @@ class QueryService:
         exactly the document that tripped it.  (The check runs at every
         step, so a service emptied mid-loop fails at the next step even if
         the stream happens to be exhausted.)  A document that fails
-        mid-pass aborts that pass (releasing its slot and workers) and
+        mid-pass aborts that pass (releasing its slot) and
         propagates the error; the generator is then exhausted — decide in
         the caller whether to re-``serve`` the remaining documents, or use
         a :class:`~repro.service.pool.ServicePool`, whose serving loop
@@ -517,18 +553,7 @@ class QueryService:
                 document = next(iterator)
             except StopIteration:
                 return
-            shared_pass = self.open_pass(chunk_size=chunk_size)
-            try:
-                with self._maybe_profile():
-                    self._feed_document(shared_pass, document)
-                    results = shared_pass.finish()
-            except BaseException:
-                shared_pass.abort()
-                raise
-            self._record_observations(shared_pass, results)
-            yield ServedDocument(
-                index=index, results=results, metrics=shared_pass.metrics
-            )
+            yield self._serve_document(document, index, chunk_size)
             index += 1
 
     # ----------------------------------------------------------- reporting

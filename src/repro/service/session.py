@@ -7,9 +7,9 @@ registration (same :func:`~repro.runtime.plan_cache.structure_key`).  A
 :class:`SharedPass` is one push-based scan of one document executing all
 registered queries: the service's incremental parser turns text chunks
 into events, the shared dispatcher filters them once, and each *structure*
-(not each registration) runs one
-:class:`~repro.runtime.evaluator.EvaluatorSession` consuming the fan-out
-on its own worker.  ``finish()`` joins everything and returns one
+(not each registration) runs one suspended
+:class:`~repro.runtime.evaluator.EvaluatorSession` that the dispatcher
+resumes on the feeding thread.  ``finish()`` drains them and returns one
 :class:`~repro.engines.base.QueryResult` per registration — aliases of one
 structure receive the same evaluated output — byte-identical to a solo
 ``FluxEngine.execute`` of the same query over the same document.
@@ -171,16 +171,14 @@ class _StructureRun:
     aliases of one computation cost one evaluator session, not N.
     """
 
-    def __init__(
-        self, group: List[RegisteredQuery], dtd: Optional[DTD], execution: str
-    ):
+    def __init__(self, group: List[RegisteredQuery], dtd: Optional[DTD]):
         self.group = group
         self.structure = group[0].structure
         # Validation runs once, in the dispatcher, over the unfiltered
         # stream; the per-structure XSAX readers only track on-first
         # conditions.
         self.session = EvaluatorSession(
-            self.structure.entry.plan, dtd, validate=False, execution=execution
+            self.structure.entry.plan, dtd, validate=False
         ).start()
 
     def feed(self, chunk) -> None:
@@ -209,21 +207,18 @@ class SharedPass:
     """One shared single-pass execution of all registered queries.
 
     Documents are pushed as text with :meth:`feed` (any chunking) and closed
-    with :meth:`finish`, which returns ``{key: QueryResult}``.  ``execution``
-    selects how the per-structure runtimes are driven: ``"threads"`` (one
-    worker per distinct structure behind a bounded channel) or ``"inline"``
-    (the dispatcher round-robins re-entrant evaluations on the feeding
-    thread).
+    with :meth:`finish`, which returns ``{key: QueryResult}``.  The
+    dispatcher round-robins the per-structure evaluations, re-entrant
+    generators, on the feeding thread.
 
     A failing pass (malformed or invalid input) aborts every per-structure
-    session before re-raising, so no worker leaks; an aborted pass rejects
-    further :meth:`feed`/:meth:`finish` calls with :class:`ValueError`
-    rather than touching its dead sessions.  The pass is also a context
-    manager — leaving the ``with`` block finishes it (or aborts it on an
-    exception; a block left after a manual :meth:`abort` stays aborted) —
-    and a pass dropped without either call is aborted by its finalizer, so
-    an abandoned pass cannot strand its per-query worker threads blocked on
-    input that will never arrive.
+    session before re-raising; an aborted pass rejects further
+    :meth:`feed`/:meth:`finish` calls with :class:`ValueError` rather than
+    touching its dead sessions.  The pass is also a context manager —
+    leaving the ``with`` block finishes it (or aborts it on an exception; a
+    block left after a manual :meth:`abort` stays aborted).  A pass dropped
+    without either call holds no thread, and the owning service frees its
+    slot once the pass is garbage collected.
 
     Lifecycle: ``open → (feed)* → finish`` or ``open → (feed)* → abort``;
     ``finish`` is idempotent (later calls return the same results) and a
@@ -241,7 +236,6 @@ class SharedPass:
         validate: bool,
         chunk_size: int = 256,
         on_complete=None,
-        execution: str = "threads",
         on_close=None,
         obs: Optional[Observability] = None,
         trace_id: Optional[str] = None,
@@ -281,10 +275,8 @@ class SharedPass:
                 "pass.start",
                 trace_id=self.trace_id,
                 queries=len(self._registrations),
-                execution=execution,
             )
         self._results: Optional[Dict[str, QueryResult]] = None
-        self._runs: List[_StructureRun] = []
         # Group registrations by structure identity (aliases of one
         # computation share a PlanStructure object): one evaluator run and
         # one routing-index group per structure, insertion-ordered so
@@ -294,25 +286,17 @@ class SharedPass:
             groups.setdefault(id(reg.structure), []).append(reg)
         grouped = list(groups.values())
         self._metrics.structures = len(grouped)
-        try:
-            for group in grouped:
-                self._runs.append(_StructureRun(group, dtd, execution))
-            self._index = SharedProjectionIndex(
-                (run.structure.profile for run in self._runs),
-                self._metrics,
-                keys=[[reg.key for reg in run.group] for run in self._runs],
-            )
-            validator = StreamingValidator(dtd) if (validate and dtd is not None) else None
-            self._dispatcher = SharedDispatcher(
-                self._index, self._runs, validator=validator, chunk_size=chunk_size
-            )
-            self._parser = StreamingXMLParser.incremental()
-        except BaseException:
-            # Construction failed after the Kth session started: release
-            # every worker that did start instead of stranding it on a
-            # channel that will never be fed or closed.
-            self.abort()
-            raise
+        self._runs = [_StructureRun(group, dtd) for group in grouped]
+        self._index = SharedProjectionIndex(
+            (run.structure.profile for run in self._runs),
+            self._metrics,
+            keys=[[reg.key for reg in run.group] for run in self._runs],
+        )
+        validator = StreamingValidator(dtd) if (validate and dtd is not None) else None
+        self._dispatcher = SharedDispatcher(
+            self._index, self._runs, validator=validator, chunk_size=chunk_size
+        )
+        self._parser = StreamingXMLParser.incremental()
         self._on_complete = on_complete
         self._started_at = time.perf_counter()
 
@@ -475,10 +459,3 @@ class SharedPass:
             self.abort()
         else:
             self.finish()
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        try:
-            if self._results is None:
-                self.abort()
-        except Exception:
-            pass

@@ -163,7 +163,7 @@ class TestMultiServeLoop:
             paths.append(str(path))
         return paths
 
-    @pytest.mark.parametrize("execution", ["threads", "inline", "async"])
+    @pytest.mark.parametrize("execution", ["inline", "async"])
     def test_documents_serve_loop_all_modes(
         self, files, query_dir, documents, execution, capsys
     ):
@@ -232,7 +232,7 @@ class TestMultiPool:
             paths.append(str(path))
         return paths
 
-    @pytest.mark.parametrize("execution", ["threads", "inline", "async"])
+    @pytest.mark.parametrize("execution", ["inline", "async"])
     def test_pool_serves_all_documents(
         self, files, query_dir, documents, execution, capsys
     ):
@@ -378,8 +378,7 @@ class TestMultiProcessBackend:
     ):
         import json
 
-        # Unset --execution resolves per backend: "inline" inside process
-        # workers (per-query threads there only add handoff cost).
+        # Unset --execution is "inline" on every backend.
         json_path = files["dir"] / "exec.json"
         assert main(["multi", "-Q", str(query_dir), "-D", *documents,
                      "-d", files["dtd"], "--workers", "2",
@@ -388,13 +387,20 @@ class TestMultiProcessBackend:
         json_path2 = files["dir"] / "exec2.json"
         assert main(["multi", "-Q", str(query_dir), "-D", *documents,
                      "-d", files["dtd"], "-j", str(json_path2)]) == 0
-        assert json.loads(json_path2.read_text())["execution"] == "threads"
+        assert json.loads(json_path2.read_text())["execution"] == "inline"
 
     def test_process_backend_requires_workers(self, files, query_dir, capsys):
         exit_code = main(["multi", "-Q", str(query_dir), "-i", files["document"],
                           "-d", files["dtd"], "--backend", "processes"])
         assert exit_code == 2
         assert "--backend processes requires --workers" in capsys.readouterr().err
+
+    def test_threads_execution_is_rejected(self, files, query_dir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["multi", "-Q", str(query_dir), "-i", files["document"],
+                  "-d", files["dtd"], "--execution", "threads"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
 
     def test_process_backend_rejects_async_execution(
         self, files, query_dir, capsys

@@ -253,7 +253,7 @@ class TestFleetDifferentialProperties:
     @given(
         bases=st.integers(min_value=1, max_value=4),
         total=st.integers(min_value=1, max_value=10),
-        execution=st.sampled_from(["inline", "threads", "async"]),
+        execution=st.sampled_from(["inline", "async"]),
         cuts=st.lists(st.integers(min_value=1, max_value=5_000), max_size=6),
         num_books=st.integers(min_value=0, max_value=8),
     )
@@ -283,11 +283,7 @@ class TestFleetDifferentialProperties:
             )
         else:
             shared, service = run_shared(
-                fleet,
-                document,
-                dtd=BIB_DTD_STRONG,
-                execution=execution,
-                chunking=chunking,
+                fleet, document, dtd=BIB_DTD_STRONG, chunking=chunking
             )
             # The pass collapsed the fleet to its distinct structures.
             assert service.metrics.last_pass.structures == min(bases, total)

@@ -1,7 +1,7 @@
 """Plan cache: hits, misses, DTD-fingerprint invalidation, eviction, stats.
 
 The cache lives in ``repro.runtime`` and is shared by the FluxEngine and the
-multi-query service; ``repro.service.plan_cache`` re-exports it."""
+multi-query service; ``repro.service`` re-exports it."""
 
 import pytest
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engines.flux_engine import FluxEngine
 from repro.errors import EvaluationError, XMLValidationError
-from repro.runtime.evaluator import EvaluatorSession, EventChannel
+from repro.runtime.evaluator import EvaluatorSession
 from repro.workloads.bibgen import generate_bibliography
 from repro.workloads.dtds import BIB_DTD_STRONG
 from repro.workloads.queries import get_query
@@ -107,38 +107,13 @@ class TestEvaluatorSessionLifecycle:
             session.start()
         session.abort()
 
-    def test_channel_releases_producer_when_consumer_stops(self):
-        channel = EventChannel(maxsize=1)
-        channel.mark_consumer_done()
-        assert channel.put([1]) is False
-
-    def test_dropped_sessions_release_their_workers(self, engine):
-        import gc
-        import threading
-        import time
-
-        compiled = engine.compile(PAPER_Q3)
-        before = threading.active_count()
-        for _ in range(5):
-            session = compiled.start()
-            session.feed(list(parse_events(PAPER_DOCUMENT))[:3])
-        del session  # all five dropped without finish()/abort()
-        gc.collect()
-        for _ in range(100):  # finalizers join; workers exit promptly
-            if threading.active_count() <= before:
-                break
-            time.sleep(0.02)
-        assert threading.active_count() <= before
-
 
 class TestInlineEvaluatorSession:
-    """The threadless execution mode: re-entrant generators, same bytes."""
+    """Threadless sessions: re-entrant generators, same bytes as solo."""
 
-    def _session(self, engine, **kwargs):
+    def _session(self, engine):
         compiled = engine.compile(PAPER_Q3)
-        return EvaluatorSession(
-            compiled.plan, engine.dtd, execution="inline", **kwargs
-        )
+        return EvaluatorSession(compiled.plan, engine.dtd)
 
     def test_inline_matches_thread_mode_bytes(self, engine):
         solo = engine.execute(PAPER_Q3, PAPER_DOCUMENT)
@@ -154,8 +129,9 @@ class TestInlineEvaluatorSession:
         import threading
 
         before = threading.active_count()
-        session = self._session(engine).start()
+        session = engine.compile(PAPER_Q3).start()  # the default session
         session.feed(parse_events(PAPER_DOCUMENT))
+        assert threading.active_count() == before
         session.finish()
         assert threading.active_count() == before
 
@@ -184,7 +160,7 @@ class TestInlineEvaluatorSession:
         spec = get_query("BIB-Q6")
         solo = engine.execute(spec.xquery, document)
         compiled = engine.compile(spec.xquery)
-        session = EvaluatorSession(compiled.plan, engine.dtd, execution="inline").start()
+        session = EvaluatorSession(compiled.plan, engine.dtd).start()
         events = list(parse_events(document))
         for start in range(0, len(events), 100):
             session.feed(events[start : start + 100])

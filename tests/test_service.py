@@ -213,26 +213,23 @@ class TestSharedPassErrors:
             with service.open_pass() as shared_pass:
                 shared_pass.feed("<bib>")
                 raise RuntimeError("caller failure")
-        # The abort released every worker; a fresh pass still runs.
+        # The abort freed the pass slot; a fresh pass still runs.
         assert service.run_pass(PAPER_DOCUMENT)["q3"].output
 
     def test_abandoned_pass_releases_workers(self):
+        # An abandoned pass holds no thread, and its slot frees on GC.
         import gc
         import threading
-        import time
 
         service = QueryService(PAPER_FIGURE1_DTD)
         service.register(PAPER_Q3, key="q3")
         before = threading.active_count()
         shared_pass = service.open_pass()
         shared_pass.feed("<bib>")
+        assert threading.active_count() == before
         del shared_pass  # dropped without finish()/abort()
         gc.collect()
-        for _ in range(100):  # the finalizer joins; workers exit promptly
-            if threading.active_count() <= before:
-                break
-            time.sleep(0.02)
-        assert threading.active_count() <= before
+        assert service.active_pass is None
 
     def test_feed_after_finish_rejected(self):
         service = QueryService(PAPER_FIGURE1_DTD)
@@ -272,6 +269,45 @@ class TestStaticCostAndObservations:
         service.run_pass(bib_document)
         record = service.plan_cache.observations_for(registration.entry)
         assert record.passes == 2
+
+    @pytest.mark.parametrize("front_end", ["pool", "async", "async_pool"])
+    def test_every_front_end_records_observations(self, bib_document, front_end):
+        # Pools and the asyncio front end calibrate the shared cache too:
+        # one record per structure, one observation per served document.
+        import asyncio
+
+        from repro.runtime.plan_cache import structure_key
+        from repro.service import AsyncQueryService, AsyncServicePool, ServicePool
+
+        if front_end == "pool":
+            service = ServicePool(BIB_DTD_STRONG, workers=2)
+        elif front_end == "async":
+            service = AsyncQueryService(BIB_DTD_STRONG)
+        else:
+            service = AsyncServicePool(BIB_DTD_STRONG, workers=2)
+        q1 = get_query("BIB-Q1").xquery
+        service.register(q1, key="a")
+        service.register(q1, key="alias")
+        service.register(get_query("BIB-Q3").xquery, key="b")
+        documents = [bib_document, bib_document]
+        if front_end == "pool":
+            served = list(service.serve(documents))
+        else:
+
+            async def drive():
+                return [outcome async for outcome in service.serve(documents)]
+
+            served = asyncio.run(drive())
+        assert [outcome.ok for outcome in served] == [True, True]
+        entries = {
+            structure_key(reg.entry): reg.entry
+            for reg in service.registrations.values()
+        }
+        assert len(entries) == 2
+        for entry in entries.values():
+            record = service.plan_cache.observations_for(entry)
+            assert record is not None
+            assert record.passes == 2
 
     def test_duplicate_registrations_observe_once_per_pass(self, bib_document):
         # Two keys, one deduplicated plan: the pass must not double-count.

@@ -258,11 +258,9 @@ class TestFleetDifferentialSmoke:
         rng = random.Random(20040831)
         return {query.key for query in rng.sample(fleet, self.SAMPLE)}
 
-    def test_fleet_smoke_threads_1k(self, bib_document):
+    def test_fleet_smoke_inline_1k(self, bib_document):
         fleet = self._fleet()
-        shared, service = run_shared(
-            fleet, bib_document, dtd=BIB_DTD_STRONG, execution="threads"
-        )
+        shared, service = run_shared(fleet, bib_document, dtd=BIB_DTD_STRONG)
         assert len(shared) == self.QUERIES
         assert service.metrics.last_pass.structures == self.STRUCTURES
         assert service.metrics.queries_deduped == self.QUERIES - self.STRUCTURES

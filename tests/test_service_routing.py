@@ -4,9 +4,8 @@ PR 2's invariant sharpens PR 1's: not only must the shared pass agree
 byte-for-byte with solo runs, it must do so while forwarding to each query
 only the events *that query's* profile admits — rule (c) of the pruning
 semantics (children of condition-bearing elements are always forwarded)
-holds per plan, not just for the union.  The property test drives both
-execution modes (worker threads and the inline round-robin scheduler)
-under hypothesis-chosen feed chunkings.
+holds per plan, not just for the union.  The property test drives the
+inline round-robin scheduler under hypothesis-chosen feed chunkings.
 """
 
 import threading
@@ -26,7 +25,7 @@ from repro.workloads.xmark import generate_auction_site
 
 from tests.conftest import PAPER_DOCUMENT, PAPER_FIGURE1_DTD, PAPER_Q3
 
-EXECUTION_MODES = ["threads", "inline"]
+EXECUTION_MODES = ["inline"]
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ def _chunks(document, cuts):
 
 
 class TestRoutingInvariant:
-    """Shared routed output == solo output, any chunking, both modes."""
+    """Shared routed output == solo output, any chunking."""
 
     @given(
         execution=st.sampled_from(EXECUTION_MODES),
@@ -123,14 +122,22 @@ class TestPerQueryCounters:
         )
 
     def test_routing_is_execution_mode_independent(self, bib_document):
+        import asyncio
+
+        from repro.service import AsyncQueryService
+
         counts = {}
-        for execution in EXECUTION_MODES:
-            service = QueryService(BIB_DTD_STRONG, execution=execution)
+        for execution, service in (
+            ("inline", QueryService(BIB_DTD_STRONG)),
+            ("async", AsyncQueryService(BIB_DTD_STRONG)),
+        ):
             for spec in queries_for_workload("bib"):
                 service.register(spec.xquery, key=spec.key)
-            service.run_pass(bib_document)
+            result = service.run_pass(bib_document)
+            if execution == "async":
+                asyncio.run(result)
             counts[execution] = dict(service.metrics.last_pass.per_query_forwarded)
-        assert counts["threads"] == counts["inline"]
+        assert counts["async"] == counts["inline"]
 
     def test_single_query_pass_routes_everything_forwarded(self, bib_document):
         service = QueryService(BIB_DTD_STRONG)
@@ -143,7 +150,7 @@ class TestPerQueryCounters:
 
 class TestInlineExecution:
     def test_inline_pass_spawns_no_threads(self, bib_document):
-        service = QueryService(BIB_DTD_STRONG, execution="inline")
+        service = QueryService(BIB_DTD_STRONG)
         for spec in queries_for_workload("bib"):
             service.register(spec.xquery, key=spec.key)
         before = threading.active_count()
@@ -152,17 +159,20 @@ class TestInlineExecution:
         assert len(results) == len(queries_for_workload("bib"))
 
     def test_unknown_execution_mode_rejected(self):
-        with pytest.raises(ValueError):
-            QueryService(BIB_DTD_STRONG, execution="fibers")
-        with pytest.raises(ValueError):
-            EvaluatorSession(object(), execution="fibers")
+        from repro.service import ProcessServicePool
+
+        for execution in ("fibers", "threads"):
+            with pytest.raises(ValueError):
+                QueryService(BIB_DTD_STRONG, execution=execution)
+            with pytest.raises(ValueError):
+                ProcessServicePool(BIB_DTD_STRONG, execution=execution)
 
     def test_inline_validation_error_raises_from_feed(self):
-        # The shared validator runs on the dispatch thread in both modes;
-        # with inline sessions the whole failure path is synchronous.
+        # The shared validator runs on the dispatch thread; with inline
+        # sessions the whole failure path is synchronous.
         from repro.errors import XMLValidationError
 
-        service = QueryService(PAPER_FIGURE1_DTD, execution="inline")
+        service = QueryService(PAPER_FIGURE1_DTD)
         service.register(PAPER_Q3, key="q3")
         shared_pass = service.open_pass()
         with pytest.raises(XMLValidationError):
@@ -172,8 +182,8 @@ class TestInlineExecution:
 
 class TestSharedPassLifecycleFixes:
     def test_failed_kth_session_start_releases_earlier_workers(self, monkeypatch):
-        # Regression: the 3rd of 4 sessions fails to start; the 2 already
-        # running workers must be aborted, not silently stranded.
+        # The 3rd of 4 sessions fails to start: the error propagates from
+        # open_pass and nothing is left running.
         service = QueryService(BIB_DTD_STRONG)
         for index, spec in enumerate(queries_for_workload("bib")[:4]):
             service.register(spec.xquery, key=spec.key)
@@ -193,8 +203,8 @@ class TestSharedPassLifecycleFixes:
         assert threading.active_count() == before
 
     def test_failed_constructor_tail_releases_started_workers(self, monkeypatch):
-        # Same leak class, later in the constructor: all sessions started,
-        # then the routing-index build fails.
+        # Later in the constructor: all sessions started, then the
+        # routing-index build fails.
         import repro.service.session as session_module
 
         def exploding_index(*args, **kwargs):
@@ -289,9 +299,7 @@ class TestFleetGroupRouting:
 
         specs = queries_for_workload("bib")[:3]
         fleet = make_fleet([spec.xquery for spec in specs], 9)
-        shared, service = run_shared(
-            fleet, bib_document, dtd=BIB_DTD_STRONG, execution="threads"
-        )
+        shared, service = run_shared(fleet, bib_document, dtd=BIB_DTD_STRONG)
         metrics = service.metrics.last_pass
         assert metrics.structures == 3
         # Every subscriber gets its own counter entry, and aliases of one

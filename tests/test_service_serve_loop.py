@@ -37,7 +37,7 @@ def solo(query: str, document: str) -> str:
 
 
 class TestServeLoop:
-    @pytest.mark.parametrize("execution", ["threads", "inline"])
+    @pytest.mark.parametrize("execution", ["inline"])
     def test_serve_matches_solo_per_document(self, documents, execution):
         q1 = get_query("BIB-Q1").xquery
         q3 = get_query("BIB-Q3").xquery
@@ -232,7 +232,7 @@ class TestOnePassAtATime:
     def test_abandoned_pass_frees_the_slot_via_gc(self):
         import gc
 
-        service = QueryService(PAPER_FIGURE1_DTD, execution="inline")
+        service = QueryService(PAPER_FIGURE1_DTD)
         service.register(PAPER_Q3, key="q3")
         shared_pass = service.open_pass()
         shared_pass.feed("<bib>")
