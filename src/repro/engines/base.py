@@ -13,7 +13,13 @@ from repro.runtime.stats import RuntimeStats
 
 @dataclass
 class QueryResult:
-    """The outcome of evaluating one query over one document."""
+    """The outcome of evaluating one query over one document.
+
+    Slotted: a shared pass builds one per registrant, so the object is kept
+    to its four fields.
+    """
+
+    __slots__ = ("output", "stats", "engine", "query")
 
     output: str
     stats: RuntimeStats

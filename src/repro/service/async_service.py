@@ -238,7 +238,7 @@ class AsyncQueryService:
         except BaseException:
             shared_pass.abort()
             raise
-        self._service._record_observations(shared_pass._pass, results)
+        self._service._record_observations(shared_pass._pass)
         return ServedDocument(
             index=index,
             results=results,

@@ -73,7 +73,7 @@ from repro.runtime.plan import (
     PlanOp,
     ProcessStreamOp,
 )
-from repro.service.metrics import PassMetrics
+from repro.service.metrics import PassMetrics, PerQueryCounts
 from repro.xmlstream.events import EndElement, Event, StartElement, Text
 from repro.xquery.analysis import WHOLE_SUBTREE
 
@@ -196,8 +196,8 @@ class SharedProjectionIndex:
     need the event.  A zero mask means the event is skipped *once* for all
     of them; the savings — global and per subscriber — are recorded in the
     pass metrics (per-query counters are written by
-    :meth:`finalize_metrics`, which expands each group's tally to all its
-    subscriber keys).
+    :meth:`finalize_metrics` as views that map each group's subscriber keys
+    to the group's tally).
 
     Construction merges every group's static interest into shared tables
     so the hot loop never iterates the groups: a path trie over the
@@ -266,9 +266,9 @@ class SharedProjectionIndex:
         self._condition_masks = condition_masks
         self._stack: List[_Frame] = []
         self._skip_depth = 0
-        # Tallied per distinct mask, expanded per group (then per
-        # subscriber) by finalize_metrics() — cheaper than touching N
-        # counters on every event.
+        # Tallied per distinct mask, expanded per group by
+        # finalize_metrics() — cheaper than touching N counters on every
+        # event.
         self._mask_counts: Dict[int, int] = {}
 
     @property
@@ -399,16 +399,18 @@ class SharedProjectionIndex:
         query needed but this one did not — the routing win over PR 1's
         union filter, which would have delivered all
         ``events_forwarded`` events to every session.  Every subscriber of
-        a structure group gets the group's tally: aliases ride the shared
-        session, so they were routed exactly its events.
+        a structure group gets the group's tally (aliases ride the shared
+        session, so they were routed exactly its events), so both are
+        written as :class:`~repro.service.metrics.PerQueryCounts` views
+        over ``keys`` and one tally per group: the cost is per structure,
+        not per subscriber.
         """
         forwarded = self.metrics.events_forwarded
-        per_forwarded = self.metrics.per_query_forwarded
-        per_pruned = self.metrics.per_query_pruned
-        for group_keys, routed in zip(self.keys, self.per_group_forwarded()):
-            for key in group_keys:
-                per_forwarded[key] = routed
-                per_pruned[key] = forwarded - routed
+        routed = self.per_group_forwarded()
+        self.metrics.per_query_forwarded = PerQueryCounts(self.keys, routed)
+        self.metrics.per_query_pruned = PerQueryCounts(
+            self.keys, [forwarded - count for count in routed]
+        )
 
 
 def _projection_names(node: ProjectionNode, into: Set[str]) -> None:

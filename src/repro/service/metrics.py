@@ -9,7 +9,10 @@ Two layers of counters:
   irrelevant subtrees) or dropped (character data no query can observe),
   and — per registered query — how many events were actually routed to it
   (``per_query_forwarded``) versus suppressed for it although some other
-  query needed them (``per_query_pruned``).  ``events_saved_vs_solo``
+  query needed them (``per_query_pruned``).  Aliases of one plan structure
+  are routed the same events, so both are :class:`PerQueryCounts` views
+  over one tally per structure, not per-registrant tables.
+  ``events_saved_vs_solo``
   quantifies the point of the service: with N registered queries, N
   independent runs would have parsed the document N times.
 * :class:`ServiceMetrics` — service lifetime: registrations, compilations,
@@ -36,12 +39,72 @@ on its own thread).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+
+
+class PerQueryCounts(Mapping):
+    """A read-only ``{registration key: count}`` view over structure tallies.
+
+    ``groups`` holds one list of subscriber keys per plan structure and
+    ``counts`` one tally per structure, in the same order; every key of a
+    group maps to its structure's tally.  Building the view costs nothing
+    per registrant — the key index is made on first lookup — and it pickles
+    as the two lists (a forwarded/pruned pair sharing ``groups`` pickles
+    the keys once).
+    """
+
+    __slots__ = ("groups", "counts", "_index")
+
+    def __init__(
+        self,
+        groups: Sequence[Sequence[str]] = (),
+        counts: Sequence[int] = (),
+    ):
+        self.groups = groups
+        self.counts = counts
+        self._index: Optional[Dict[str, int]] = None
+
+    def _lookup(self) -> Dict[str, int]:
+        index = self._index
+        if index is None:
+            index = {}
+            for keys, count in zip(self.groups, self.counts):
+                index.update(dict.fromkeys(keys, count))
+            self._index = index
+        return index
+
+    def __getitem__(self, key: str) -> int:
+        return self._lookup()[key]
+
+    def get(self, key: str, default=None):
+        return self._lookup().get(key, default)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._lookup())
+
+    def __len__(self) -> int:
+        return len(self._lookup())
+
+    def as_dict(self) -> Dict[str, int]:
+        return dict(self._lookup())
+
+    def __reduce__(self):
+        return (PerQueryCounts, (self.groups, self.counts))
+
+    def __repr__(self) -> str:
+        return f"PerQueryCounts({self._lookup()!r})"
 
 
 @dataclass
 class PassMetrics:
-    """Counters for one shared pass over one document."""
+    """Counters for one shared pass over one document.
+
+    Everything here is per pass or per structure, so a pass's accounting
+    costs the same with 6 registrants as with 10,000 aliases of 6
+    structures: the per-query routing counters are
+    :class:`PerQueryCounts` views that expand a structure's tally to its
+    subscriber keys only when read.
+    """
 
     queries: int = 0
     #: Distinct plan structures evaluated (``<= queries``; each structure
@@ -56,11 +119,13 @@ class PassMetrics:
     elapsed_seconds: float = 0.0
     #: Events routed to each query (by registration key); always
     #: ``<= events_forwarded``, strictly less for queries sparser than the
-    #: fleet's union interest.
-    per_query_forwarded: Dict[str, int] = field(default_factory=dict)
+    #: fleet's union interest.  A read-only view over one tally per
+    #: structure, written by
+    #: :meth:`~repro.service.dispatcher.SharedProjectionIndex.finalize_metrics`.
+    per_query_forwarded: PerQueryCounts = field(default_factory=PerQueryCounts)
     #: Events some other query needed but this one did not — what the
-    #: query saves over PR 1's union-filtered broadcast.
-    per_query_pruned: Dict[str, int] = field(default_factory=dict)
+    #: query saves over PR 1's union-filtered broadcast.  Same view shape.
+    per_query_pruned: PerQueryCounts = field(default_factory=PerQueryCounts)
 
     @property
     def events_saved_vs_solo(self) -> int:
@@ -79,8 +144,8 @@ class PassMetrics:
             "text_events_dropped": self.text_events_dropped,
             "events_saved_vs_solo": self.events_saved_vs_solo,
             "elapsed_seconds": self.elapsed_seconds,
-            "per_query_forwarded": dict(self.per_query_forwarded),
-            "per_query_pruned": dict(self.per_query_pruned),
+            "per_query_forwarded": self.per_query_forwarded.as_dict(),
+            "per_query_pruned": self.per_query_pruned.as_dict(),
         }
 
 

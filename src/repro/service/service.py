@@ -55,7 +55,12 @@ from repro.obs import Observability
 from repro.runtime.compiler import CompiledQueryPlan
 from repro.runtime.plan_cache import PlanCache, dtd_fingerprint, structure_key
 from repro.service.metrics import PassMetrics, ServiceMetrics
-from repro.service.session import PlanStructure, RegisteredQuery, SharedPass
+from repro.service.session import (
+    PlanStructure,
+    RegisteredQuery,
+    SharedPass,
+    Subscribers,
+)
 
 if TYPE_CHECKING:
     from repro.service.pool_core import Shard
@@ -187,6 +192,12 @@ class QueryService:
         #: Live shared structures by structure key (``dedup=True`` only);
         #: entries leave when their last subscriber unregisters.
         self._structures: "Dict[str, PlanStructure]" = {}
+        #: Every live structure (private ones too, under ``dedup=False``)
+        #: with its subscribers by key, both in order of first
+        #: registration.  Kept between passes and updated in O(1) per
+        #: register/unregister, so opening a pass copies one group per
+        #: structure instead of regrouping every registration.
+        self._groups: "Dict[PlanStructure, Subscribers]" = {}
         self._counter = 0
         # Weak on purpose: an abandoned pass must not keep the slot
         # occupied; it frees once the pass is garbage collected.
@@ -215,9 +226,32 @@ class QueryService:
         structure.refcount += 1
         return structure
 
-    def _release_structure(self, registration: RegisteredQuery) -> None:
+    def _subscribe(self, registration: RegisteredQuery) -> None:
+        """Add a new registration to its structure's subscriber group.
+
+        Replacing a key with an alias of the same structure keeps the key's
+        place in the group.
+        """
+        group = self._groups.get(registration.structure)
+        if group is None:
+            group = self._groups[registration.structure] = {}
+        group[registration.key] = registration
+        active = self.active_pass
+        if active is not None:
+            active.note_joined(registration)
+
+    def _release(self, registration: RegisteredQuery) -> None:
         """Drop one registration's subscription; tear down at refcount 0."""
         structure = registration.structure
+        group = self._groups[structure]
+        if group.get(registration.key) is registration:
+            del group[registration.key]
+            if not group:
+                del self._groups[structure]
+        registration.detach()
+        active = self.active_pass
+        if active is not None:
+            active.note_left(registration)
         structure.refcount -= 1
         if (
             structure.refcount == 0
@@ -225,6 +259,21 @@ class QueryService:
         ):
             del self._structures[structure.skey]
             self.metrics.structures_released += 1
+
+    def _install(self, registration: RegisteredQuery) -> None:
+        """Make ``registration`` live, replacing any holder of its key.
+
+        The newcomer subscribes before the displaced registration releases,
+        so replacing an alias with another alias of the same structure
+        never tears the shared structure down.
+        """
+        self._subscribe(registration)
+        displaced = self._registrations.get(registration.key)
+        if displaced is not None:
+            self.metrics.queries_replaced += 1
+            self._release(displaced)
+        self._registrations[registration.key] = registration
+        self.metrics.queries_registered += 1
 
     @property
     def structures(self) -> "Dict[str, PlanStructure]":
@@ -255,12 +304,7 @@ class QueryService:
             # interning, entry.source may be an alias's spelling.
             source=query,
         )
-        displaced = self._registrations.get(key)
-        if displaced is not None:
-            self.metrics.queries_replaced += 1
-            self._release_structure(displaced)
-        self._registrations[key] = registration
-        self.metrics.queries_registered += 1
+        self._install(registration)
         if self.obs is not None:
             self.obs.log("service.register", key=key, from_cache=from_cache)
         return registration
@@ -303,12 +347,7 @@ class QueryService:
             # artifact's entry may hold the structure's canonical text.
             source=source,
         )
-        displaced = self._registrations.get(key)
-        if displaced is not None:
-            self.metrics.queries_replaced += 1
-            self._release_structure(displaced)
-        self._registrations[key] = registration
-        self.metrics.queries_registered += 1
+        self._install(registration)
         if self.obs is not None:
             self.obs.log("service.register", key=key, shipped=True)
         return registration
@@ -325,7 +364,7 @@ class QueryService:
         """
         registration = self._registrations.pop(key)
         self.metrics.queries_unregistered += 1
-        self._release_structure(registration)
+        self._release(registration)
         if self.obs is not None:
             self.obs.log("service.unregister", key=key)
 
@@ -389,7 +428,7 @@ class QueryService:
                 "finish() or abort() it before opening another"
             )
         shared_pass = SharedPass(
-            list(self._registrations.values()),
+            {structure: dict(group) for structure, group in self._groups.items()},
             self.dtd,
             self.validate,
             chunk_size=chunk_size,
@@ -455,7 +494,7 @@ class QueryService:
         except BaseException:
             shared_pass.abort()
             raise
-        self._record_observations(shared_pass, results)
+        self._record_observations(shared_pass)
         return ServedDocument(
             index=index,
             results=results,
@@ -469,41 +508,35 @@ class QueryService:
             return self.obs.profiler
         return _NULL_CONTEXT
 
-    def _record_observations(
-        self, shared_pass: SharedPass, results: Dict[str, QueryResult]
-    ) -> None:
+    def _record_observations(self, shared_pass: SharedPass) -> None:
         """Fold one finished pass into the plan cache's observation sidecar.
 
-        One record per plan *structure* (aliases share calibration): the
-        representative registration's routed-event count, the pass's
-        document size and elapsed time, and the alias group's worst
-        measured buffer peak.  These are what
+        One record per plan *structure* key (aliases share calibration, and
+        under ``dedup=False`` private structures of one key share a
+        record): the structure's routed-event count, the pass's document
+        size and elapsed time, and the worst measured buffer peak among the
+        key's sessions.  These are what
         :func:`repro.analysis.query.cost.apply_observations` uses to
         replace modeled figures with measured ones in ``repro explain``
         and auto mode selection; persisted by ``PlanCache.dump``.
         """
         metrics = shared_pass.metrics
-        seen: set = set()
-        for registration in shared_pass.registrations:
-            skey = registration.structure.skey
-            if skey in seen:
-                continue
-            seen.add(skey)
-            result = results.get(registration.key)
-            if result is None:
-                continue
+        observed: Dict[str, list] = {}
+        for structure, routed, stats in shared_pass.structure_outcomes():
+            record = observed.get(structure.skey)
+            if record is None:
+                observed[structure.skey] = [
+                    structure.entry, routed, stats.peak_buffer_bytes
+                ]
+            elif stats.peak_buffer_bytes > record[2]:
+                record[2] = stats.peak_buffer_bytes
+        for entry, routed, peak in observed.values():
             self.plan_cache.observe(
-                registration.entry,
-                events_routed=float(
-                    metrics.per_query_forwarded.get(registration.key, 0)
-                ),
+                entry,
+                events_routed=float(routed),
                 document_bytes=float(metrics.document_bytes),
                 elapsed_seconds=metrics.elapsed_seconds,
-                peak_buffer_bytes=max(
-                    results[reg.key].peak_buffer_bytes
-                    for reg in shared_pass.registrations
-                    if reg.structure.skey == skey and reg.key in results
-                ),
+                peak_buffer_bytes=peak,
             )
 
     def serve(

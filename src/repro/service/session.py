@@ -13,13 +13,19 @@ resumes on the feeding thread.  ``finish()`` drains them and returns one
 :class:`~repro.engines.base.QueryResult` per registration — aliases of one
 structure receive the same evaluated output — byte-identical to a solo
 ``FluxEngine.execute`` of the same query over the same document.
+
+A pass costs events × structures plus one result object per registrant:
+the subscriber groups arrive already built (the service keeps them between
+passes), routing counters and pass counters are kept per structure, and
+building the results is the only per-registrant step.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.dtd.schema import DTD
 from repro.dtd.validator import StreamingValidator
@@ -28,6 +34,7 @@ from repro.obs import Observability, new_span_id, new_trace_id
 from repro.runtime.compiler import CompiledQueryPlan
 from repro.runtime.evaluator import EvaluatorSession
 from repro.runtime.plan_cache import structure_key
+from repro.runtime.stats import RuntimeStats
 from repro.service.dispatcher import PlanProfile, SharedDispatcher, SharedProjectionIndex
 from repro.service.metrics import PassMetrics
 from repro.xmlstream.parser import StreamingXMLParser
@@ -37,6 +44,11 @@ SHARED_ENGINE_NAME = "flux-shared"
 
 #: The pass stage taxonomy, in pipeline order.
 PASS_STAGES = ("parse", "route", "dispatch", "evaluate", "emit")
+
+_SOURCE = operator.attrgetter("source")
+
+#: One structure's subscribers by registration key, in subscription order.
+Subscribers = Dict[str, "RegisteredQuery"]
 
 
 def record_pass_observations(
@@ -86,7 +98,8 @@ class PlanStructure:
     evaluates each structure exactly once.  The service refcounts
     subscribers so dropping one alias never tears down a structure another
     registration still needs; ``refcount`` mutates only under the service's
-    single-driver contract (between passes).
+    single-driver contract (between passes).  ``passes`` is the only pass
+    counter: a registration's own count is derived from it.
     """
 
     def __init__(self, skey: str, entry: CompiledQueryPlan):
@@ -108,8 +121,8 @@ class RegisteredQuery:
     Lifecycle: created by ``register()``, lives until unregistered or
     replaced, and is *shared* by every pass that snapshots it — the compiled
     plan and the :class:`PlanStructure` it subscribes to are immutable, so
-    reuse across passes is free.  Only ``passes`` mutates (incremented by
-    each finishing pass), under the service's single-driver contract.
+    reuse across passes is free.  Nothing on it mutates per pass:
+    :attr:`passes` is derived from its structure's counter.
 
     ``source`` is the text *as registered* — under plan-cache interning the
     shared ``entry`` may carry an alias's differently-spelled (but
@@ -139,7 +152,22 @@ class RegisteredQuery:
             structure.refcount = 1
         self.structure = structure
         self.source = source if source is not None else entry.source
-        self.passes = 0
+        # passes == structure.passes - _base while subscribed; a pass open
+        # across the subscription corrects _base (or _frozen) when it
+        # finishes, so it counts only if it included this registration.
+        self._base = structure.passes
+        self._frozen: Optional[int] = None
+
+    @property
+    def passes(self) -> int:
+        """Finished shared passes that included this registration."""
+        if self._frozen is not None:
+            return self._frozen
+        return self.structure.passes - self._base
+
+    def detach(self) -> None:
+        """Stop following the structure's counter (unregistered/replaced)."""
+        self._frozen = self.passes
 
     @property
     def profile(self) -> PlanProfile:
@@ -167,44 +195,46 @@ class _StructureRun:
     """One structure's execution inside one shared pass.
 
     Evaluates the structure's plan once and fans the finished output out to
-    every subscribing registration in the pass (:meth:`results`), so N
-    aliases of one computation cost one evaluator session, not N.
+    the pass's snapshot of its subscribers (:meth:`results`), so N aliases
+    of one computation cost one evaluator session, not N.
     """
 
-    def __init__(self, group: List[RegisteredQuery], dtd: Optional[DTD]):
-        self.group = group
-        self.structure = group[0].structure
+    def __init__(
+        self, structure: PlanStructure, subscribers: Subscribers, dtd: Optional[DTD]
+    ):
+        self.structure = structure
+        self.subscribers = subscribers
+        self.stats: Optional[RuntimeStats] = None
         # Validation runs once, in the dispatcher, over the unfiltered
         # stream; the per-structure XSAX readers only track on-first
         # conditions.
         self.session = EvaluatorSession(
-            self.structure.entry.plan, dtd, validate=False
+            structure.entry.plan, dtd, validate=False
         ).start()
 
-    def feed(self, chunk) -> None:
-        self.session.feed(chunk)
-
     def results(self) -> List[QueryResult]:
-        """Finish the session and build one result per subscriber.
+        """Finish the session and build one result per subscriber, in order.
 
-        The evaluated output string is shared by reference across the
-        group's results (it is immutable); each result still echoes its own
-        registration's source text.
+        The evaluated output string and the stats object are shared by
+        reference across the group's results; each result still echoes its
+        own registration's source text.  Built positionally: this is the
+        pass's only per-registrant loop.
         """
         output, stats = self.session.finish()
+        self.stats = stats
         return [
-            QueryResult(
-                output=output,
-                stats=stats,
-                engine=SHARED_ENGINE_NAME,
-                query=reg.source,
-            )
-            for reg in self.group
+            QueryResult(output, stats, SHARED_ENGINE_NAME, source)
+            for source in map(_SOURCE, self.subscribers.values())
         ]
 
 
 class SharedPass:
     """One shared single-pass execution of all registered queries.
+
+    ``groups`` is the snapshot to execute: each live structure mapped to its
+    subscribers by key (``{structure: {key: registration}}``), as
+    :meth:`~repro.service.service.QueryService.open_pass` copies it.  Result
+    order follows it: structures in order, aliases in order within each.
 
     Documents are pushed as text with :meth:`feed` (any chunking) and closed
     with :meth:`finish`, which returns ``{key: QueryResult}``.  The
@@ -231,7 +261,7 @@ class SharedPass:
 
     def __init__(
         self,
-        registrations: List[RegisteredQuery],
+        groups: Mapping[PlanStructure, Subscribers],
         dtd: Optional[DTD],
         validate: bool,
         chunk_size: int = 256,
@@ -240,10 +270,11 @@ class SharedPass:
         obs: Optional[Observability] = None,
         trace_id: Optional[str] = None,
     ):
-        if not registrations:
+        if not groups:
             raise ValueError("a shared pass needs at least one registered query")
-        self._registrations = list(registrations)
-        self._metrics = PassMetrics(queries=len(self._registrations))
+        self._metrics = PassMetrics(
+            queries=sum(map(len, groups.values())), structures=len(groups)
+        )
         # abort() is the one cross-thread entry point (a pool driver may
         # abort a pass its worker is feeding), so the aborted/closed
         # transitions are real test-and-sets: without the lock two racing
@@ -274,27 +305,30 @@ class SharedPass:
             obs.log(
                 "pass.start",
                 trace_id=self.trace_id,
-                queries=len(self._registrations),
+                queries=self._metrics.queries,
             )
         self._results: Optional[Dict[str, QueryResult]] = None
-        # Group registrations by structure identity (aliases of one
-        # computation share a PlanStructure object): one evaluator run and
-        # one routing-index group per structure, insertion-ordered so
-        # results and fan-out stay deterministic.
-        groups: Dict[int, List[RegisteredQuery]] = {}
-        for reg in self._registrations:
-            groups.setdefault(id(reg.structure), []).append(reg)
-        grouped = list(groups.values())
-        self._metrics.structures = len(grouped)
-        self._runs = [_StructureRun(group, dtd) for group in grouped]
+        # One evaluator run and one routing-index group per structure.
+        self._runs = [
+            _StructureRun(structure, subscribers, dtd)
+            for structure, subscribers in groups.items()
+        ]
+        self._run_of = {run.structure: run for run in self._runs}
+        # Registrations that subscribed (joined) or unsubscribed (left)
+        # while this pass is open; finish() corrects their pass counts.
+        self._joined: List[RegisteredQuery] = []
+        self._left: List[RegisteredQuery] = []
         self._index = SharedProjectionIndex(
             (run.structure.profile for run in self._runs),
             self._metrics,
-            keys=[[reg.key for reg in run.group] for run in self._runs],
+            keys=[list(run.subscribers) for run in self._runs],
         )
         validator = StreamingValidator(dtd) if (validate and dtd is not None) else None
         self._dispatcher = SharedDispatcher(
-            self._index, self._runs, validator=validator, chunk_size=chunk_size
+            self._index,
+            [run.session for run in self._runs],
+            validator=validator,
+            chunk_size=chunk_size,
         )
         self._parser = StreamingXMLParser.incremental()
         self._on_complete = on_complete
@@ -306,14 +340,46 @@ class SharedPass:
 
     @property
     def registrations(self) -> List[RegisteredQuery]:
-        """The registration snapshot this pass executes (copy).
+        """The registration snapshot this pass executes, grouped by structure.
 
         Registered/replaced/unregistered queries on the service do not
-        affect an open pass; callers folding pass results back into
-        per-plan records (observation recording, admission pricing) need
-        the snapshot, not the service's live table.
+        affect an open pass.  Built on each call from the per-structure
+        snapshots.
         """
-        return list(self._registrations)
+        return [
+            reg for run in self._runs for reg in run.subscribers.values()
+        ]
+
+    def structure_outcomes(self) -> List[Tuple[PlanStructure, int, RuntimeStats]]:
+        """``(structure, events routed to it, its stats)`` per evaluated structure.
+
+        Valid after :meth:`finish`; every alias's result carries the same
+        stats object, so these are the per-plan figures observation
+        recording folds into the plan cache.
+        """
+        routed = self._metrics.per_query_forwarded.counts
+        return [
+            (run.structure, count, run.stats)
+            for run, count in zip(self._runs, routed)
+        ]
+
+    def note_joined(self, registration: RegisteredQuery) -> None:
+        """``registration`` subscribed while this pass is open.
+
+        If the pass evaluates its structure it still must not count for
+        the newcomer, which is not in the snapshot.
+        """
+        if registration.structure in self._run_of:
+            self._joined.append(registration)
+
+    def note_left(self, registration: RegisteredQuery) -> None:
+        """``registration`` unsubscribed while this pass is open.
+
+        If it is in the snapshot, the pass counts for it once it finishes.
+        """
+        run = self._run_of.get(registration.structure)
+        if run is not None and run.subscribers.get(registration.key) is registration:
+            self._left.append(registration)
 
     @property
     def aborted(self) -> bool:
@@ -369,13 +435,17 @@ class SharedPass:
             emit_started = time.perf_counter()
             try:
                 for run in self._runs:
-                    for reg, result in zip(run.group, run.results()):
-                        results[reg.key] = result
-                        reg.passes += 1
-                    run.structure.passes += 1
+                    results.update(zip(run.subscribers, run.results()))
             except BaseException:
                 self.abort()
                 raise
+            # Count the pass only once every result is built.
+            for run in self._runs:
+                run.structure.passes += 1
+            for reg in self._joined:
+                reg._base += 1
+            for reg in self._left:
+                reg._frozen += 1
             if times is not None:
                 times["emit"] += time.perf_counter() - emit_started
             self._metrics.elapsed_seconds = time.perf_counter() - self._started_at

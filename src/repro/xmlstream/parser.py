@@ -589,6 +589,11 @@ class StreamingXMLParser:
                 )
             attrs.append((attr_name, resolve_entities(raw[i:value_end])))
             i = value_end + 1
+        if len(attrs) > 1 and len({attr for attr, _ in attrs}) < len(attrs):
+            # XML 1.0 WFC: Unique Att Spec.
+            raise XMLSyntaxError(
+                f"duplicate attribute in <{name}>", self._offset(pos)
+            )
         return name, tuple(attrs)
 
 

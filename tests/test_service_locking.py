@@ -47,9 +47,11 @@ class TestAbortStorm:
     def test_concurrent_aborts_release_the_slot_once(self):
         closes = []
         service = make_service()
-        registrations = list(service._registrations.values())
+        groups = {
+            reg.structure: {reg.key: reg} for reg in service.registrations.values()
+        }
         shared_pass = SharedPass(
-            registrations,
+            groups,
             service.dtd,
             service.validate,
             on_close=closes.append,
@@ -70,9 +72,11 @@ class TestAbortStorm:
     def test_abort_after_finish_does_not_reclose(self):
         closes = []
         service = make_service()
-        registrations = list(service._registrations.values())
+        groups = {
+            reg.structure: {reg.key: reg} for reg in service.registrations.values()
+        }
         shared_pass = SharedPass(
-            registrations,
+            groups,
             service.dtd,
             service.validate,
             on_close=closes.append,

@@ -1,6 +1,7 @@
 """Unit tests for the streaming XML parser."""
 
 import io
+import xml.parsers.expat as pyexpat
 
 import pytest
 
@@ -134,6 +135,35 @@ class TestErrors:
     def test_malformed_documents_raise(self, xml):
         with pytest.raises(XMLSyntaxError):
             events_of(xml)
+
+    @pytest.mark.parametrize(
+        "xml",
+        [
+            "<a x='1' x='2'/>",
+            '<a x="1" y="2" x="3"></a>',
+            "<r><a y='1' x='2'  x = '2'/></r>",
+            "<a x='1' y='2'/>",  # distinct names: accepted
+            "<a x='1'/>",
+        ],
+    )
+    def test_duplicate_attributes_agree_with_expat(self, xml):
+        expat = pyexpat.ParserCreate()
+        try:
+            expat.Parse(xml, True)
+            expat_accepts = True
+        except pyexpat.ExpatError:
+            expat_accepts = False
+        for split in range(1, len(xml)):
+            parser = StreamingXMLParser.incremental()
+            try:
+                parser.feed(xml[:split])
+                parser.feed(xml[split:])
+                parser.close()
+                accepted = True
+            except XMLSyntaxError:
+                accepted = False
+            assert accepted == expat_accepts, (xml, split)
+        assert (xml in ("<a x='1' y='2'/>", "<a x='1'/>")) == expat_accepts
 
     def test_text_outside_root_rejected(self):
         with pytest.raises(XMLSyntaxError):
