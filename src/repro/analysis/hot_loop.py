@@ -6,7 +6,8 @@ would amortize, no ``isinstance`` dispatch, no ``try``/``except`` entry.
 This checker enforces those rules for every function carrying a
 ``# hot-loop`` marker (on its ``def`` line or the line above), and
 insists that the known per-event functions — the projection router, the
-dispatcher feed, the incremental parser — stay marked.
+dispatcher feed, the incremental parser, the XSAX reader and the streamed
+evaluator's event loops — stay marked.
 
 Rules:
 
@@ -43,6 +44,12 @@ REQUIRED_HOT: Tuple[Tuple[str, str], ...] = (
     ("service/dispatcher.py", "SharedProjectionIndex._route_start"),
     ("service/dispatcher.py", "SharedDispatcher.dispatch"),
     ("xmlstream/parser.py", "StreamingXMLParser.feed"),
+    ("runtime/xsax.py", "XSAXReader.__next__"),
+    ("runtime/xsax.py", "XSAXReader._start"),
+    ("runtime/xsax.py", "XSAXReader._end"),
+    ("runtime/evaluator.py", "StreamedEvaluator._eval_process_stream"),
+    ("runtime/evaluator.py", "StreamedEvaluator._materialize"),
+    ("runtime/evaluator.py", "StreamedEvaluator._stream_copy"),
 )
 
 _ALLOCATING_BUILTINS = {"list", "dict", "set", "frozenset", "bytearray", "tuple"}

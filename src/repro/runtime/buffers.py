@@ -150,7 +150,8 @@ class ScopeBuffers:
         if self._closed:
             return
         self._closed = True
-        self._manager.release(self._bytes)
+        if self._bytes:
+            self._manager.release(self._bytes)
         self._by_label.clear()
         self.full_element = None
         self._bytes = 0

@@ -27,20 +27,44 @@ children it is currently consuming.  For every arriving child the scope
 When the element closes, the remaining ``on-first`` handlers fire in order —
 at that point every ``past`` condition holds trivially.
 
-Output is produced as an event stream and serialized incrementally, so query
-results are never materialized.  All memory consumed by buffers flows through
-the :class:`~repro.runtime.buffers.BufferManager`, whose peak is the number
-the memory benchmarks report.
+Output is serialized incrementally, so query results are never
+materialized.  All memory consumed by buffers flows through the
+:class:`~repro.runtime.buffers.BufferManager`, whose peak is the number the
+memory benchmarks report.
+
+Per-plan code
+-------------
+
+What does not depend on the input is worked out once per plan, on the
+plan's first evaluation (:func:`plan_code`), and reused by every later
+evaluation of it; structures are interned, so that is once per structure.
+Per ``process-stream`` operator that is the action for each child label
+(its ``on`` handler, the handler's index, whether to buffer the child) and
+the ``on-first`` handlers in firing order; per constructor and literal the
+escaped markup.  The XSAX lookup tables are cached the same way on the
+plan's :class:`~repro.runtime.xsax.ConditionRegistry`.  None of it is
+pickled: plans ship to process workers without it and rebuild it there.
+
+The per-event loops (the child loop of ``process-stream``,
+:meth:`StreamedEvaluator._materialize` and
+:meth:`StreamedEvaluator._stream_copy`) dispatch on the event's exact class
+(the event vocabulary is closed), pull with ``next`` directly, and write
+rendered markup; result trees are serialized by one walk straight to
+strings, without event objects.
 
 Push-based execution
 --------------------
 
 The evaluator's control flow is written as re-entrant generators: every
-method that may consume an input event is a coroutine that *suspends* (with
-a plain ``yield``) whenever the event source signals :class:`StarvedInput`.
-Over an ordinary pull source (an iterator that blocks or ends) the
-generators never suspend, so one-shot :meth:`StreamedEvaluator.run` keeps
-the paper's pull semantics unchanged.
+operator that may consume an input event runs as a coroutine that
+*suspends* (with a plain ``yield``) whenever the event source signals
+:class:`StarvedInput`.  An operator that cannot consume input (literal
+text, a buffered evaluation, a constructor around such operators) runs as a
+plain call: :meth:`StreamedEvaluator._eval` returns ``_DONE`` for it and a
+generator only for work that may pull, so a generator is opened only where
+one is needed.  Over an ordinary pull source (an iterator that blocks or
+ends) the generators never suspend, so one-shot
+:meth:`StreamedEvaluator.run` keeps the paper's pull semantics unchanged.
 
 :class:`EvaluatorSession` inverts that control so callers can *push* events
 instead, giving every compiled plan a ``start() / feed(events) / finish()``
@@ -59,7 +83,7 @@ from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.dtd.schema import DTD
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, XMLSyntaxError
 from repro.runtime.buffers import BufferManager, ScopeBuffers, StreamScopeNode
 from repro.runtime.plan import (
     BufferedEvalOp,
@@ -84,30 +108,31 @@ from repro.xmlstream.events import (
     StartElement,
     Text,
 )
-from repro.xmlstream.serializer import EventSerializer
+from repro.xmlstream.serializer import EventSerializer, end_tag, escape_text, start_tag
 from repro.xmlstream.tree import XMLElement, tree_to_events
 from repro.xquery.evaluator import TreeEvaluator, string_value
 
 
 class _Scope:
-    """Runtime state of one ``process-stream`` element instance."""
+    """Runtime state of one ``process-stream`` element instance.
 
-    __slots__ = ("tag", "attrs", "source", "buffers", "consumed", "is_document")
+    ``attrs`` are the start tag's ``(name, value)`` pairs.
+    """
+
+    __slots__ = ("tag", "attrs", "source", "buffers", "consumed")
 
     def __init__(
         self,
         tag: str,
-        attrs: Dict[str, str],
+        attrs: Tuple[Tuple[str, str], ...],
         source: Iterator[Event],
         buffers: ScopeBuffers,
-        is_document: bool = False,
     ):
         self.tag = tag
         self.attrs = attrs
         self.source = source
         self.buffers = buffers
         self.consumed = False
-        self.is_document = is_document
 
 
 Binding = Union[_Scope, XMLElement, str, int, float]
@@ -129,24 +154,80 @@ class StarvedInput(Exception):
 #: Yielded by the execution generators while their input source is starved.
 _NEED_INPUT = object()
 
-#: Returned by :func:`_pull` when the source is exhausted for good.
-_END_OF_INPUT = object()
+#: Returned by :meth:`StreamedEvaluator._eval` for an operator that ran to
+#: completion as a plain call; ``yield from _DONE`` is a no-op.
+_DONE = ()
+
+#: Marks a variable that had no binding before a handler bound it.
+_UNBOUND = object()
 
 
-def _pull(source: Iterator[Event]):
-    """Coroutine: the next event from ``source``, or ``_END_OF_INPUT``.
+class _StreamSpec:
+    """What one ``process-stream`` operator does, worked out once per plan.
 
-    Suspends (yielding ``_NEED_INPUT``) for as long as the source raises
-    :class:`StarvedInput`; pull-based sources never do, so callers driving
-    a pull source run straight through.
+    ``actions`` maps a child label to ``(on handler or None, the handler's
+    index or infinity, whether to buffer the child)``; ``default`` is the
+    action of every other label.  ``on_first`` lists the ``on-first``
+    handlers in index order as ``(index, always_satisfied, condition_id,
+    body)``.
     """
-    while True:
-        try:
-            return next(source)
-        except StopIteration:
-            return _END_OF_INPUT
-        except StarvedInput:
-            yield _NEED_INPUT
+
+    __slots__ = ("actions", "default", "on_first")
+
+    def __init__(self, op: ProcessStreamOp):
+        whole = op.buffer_whole
+        self.default: Tuple[Optional[OnHandlerOp], float, bool] = (None, math.inf, whole)
+        self.actions: Dict[str, Tuple[Optional[OnHandlerOp], float, bool]] = {}
+        for label in op.buffer_labels:
+            self.actions[label] = (None, math.inf, True)
+        for label, index in op.on_index.items():
+            handler = op.handlers[index]
+            assert isinstance(handler, OnHandlerOp)
+            self.actions[label] = (handler, index, whole or label in op.buffer_labels)
+        self.on_first = tuple(
+            (handler.index, handler.always_satisfied, handler.condition_id, handler.body)
+            for handler in op.handlers
+            if isinstance(handler, OnFirstHandlerOp)
+        )
+
+
+class _PlanCode:
+    """The per-plan precomputation: stream specs and rendered markup,
+    keyed by ``id`` of the operator (the plan keeps its operators alive)."""
+
+    __slots__ = ("streams", "markup")
+
+    def __init__(self, root: PlanOp):
+        self.streams: Dict[int, _StreamSpec] = {}
+        self.markup: Dict[int, object] = {}
+        pending = [root]
+        while pending:
+            op = pending.pop()
+            cls = op.__class__
+            if cls is ProcessStreamOp:
+                self.streams[id(op)] = _StreamSpec(op)  # type: ignore[arg-type]
+            elif cls is TextOp:
+                self.markup[id(op)] = escape_text(op.text)  # type: ignore[attr-defined]
+            elif cls is ConstructorOp:
+                self.markup[id(op)] = (
+                    start_tag(op.name, op.attributes),  # type: ignore[attr-defined]
+                    end_tag(op.name),  # type: ignore[attr-defined]
+                )
+            pending.extend(op.children())
+
+
+def plan_code(plan: PhysicalPlan) -> _PlanCode:
+    """The plan's :class:`_PlanCode`, built on first use.
+
+    It is kept on the plan, which leaves it out of its pickled state.  Two
+    threads building it at once build equal objects; the last one stored
+    wins, so no lock is needed.
+    """
+    code = plan.__dict__.get("_code")
+    if code is None:
+        code = _PlanCode(plan.root)
+        plan._code = code  # type: ignore[attr-defined]
+    return code
 
 
 class StreamedEvaluator:
@@ -204,21 +285,23 @@ class StreamedEvaluator:
         sink = output if output is not None else io.StringIO()
         self._serializer = EventSerializer(sink)
         self._env: Dict[str, Binding] = {}
+        self._code = plan_code(self.plan)
         self._stats.start_timer()
         try:
             reader = XSAXReader(
                 events, self.dtd, self.plan.conditions, validate=self.validate, stats=self._stats
             )
-            first = yield from _pull(reader)
-            if first is not _END_OF_INPUT and not isinstance(first, StartDocument):
+            first: Optional[Event] = None
+            while first is None:
+                try:
+                    first = next(reader)
+                except StopIteration:
+                    break
+                except StarvedInput:
+                    yield _NEED_INPUT
+            if first is not None and first.__class__ is not StartDocument:
                 raise EvaluationError("input stream did not start with StartDocument")
-            document_scope = _Scope(
-                tag="#document",
-                attrs={},
-                source=reader,
-                buffers=ScopeBuffers(self._buffers),
-                is_document=True,
-            )
+            document_scope = _Scope("#document", (), reader, ScopeBuffers(self._buffers))
             self._env["ROOT"] = document_scope
             yield from self._eval(self.plan.root)
             self._serializer.close()
@@ -239,100 +322,128 @@ class StreamedEvaluator:
     # ---------------------------------------------------------- evaluation
 
     def _eval(self, op: PlanOp):
-        # A coroutine (as is everything below that can pull input events):
-        # ``yield from`` chains propagate input starvation up to execute().
-        if isinstance(op, SequenceOp):
-            for item in op.items:
-                yield from self._eval(item)
-            return
-        if isinstance(op, TextOp):
-            self._serializer.write(Text(op.text))
-            return
-        if isinstance(op, ConstructorOp):
-            self._serializer.write(StartElement(op.name, op.attributes))
-            yield from self._eval(op.content)
-            self._serializer.write(EndElement(op.name))
-            return
-        if isinstance(op, CopyVarOp):
-            yield from self._eval_copy(op)
-            return
-        if isinstance(op, BufferedEvalOp):
-            self._eval_buffered(op)
-            return
-        if isinstance(op, IfOp):
-            evaluator = TreeEvaluator(self._evaluation_bindings())
-            branch = op.then_branch if evaluator.evaluate_boolean(op.condition) else op.else_branch
-            yield from self._eval(branch)
-            return
-        if isinstance(op, ProcessStreamOp):
-            yield from self._eval_process_stream(op)
-            return
-        raise EvaluationError(f"cannot execute plan operator {op!r}")
+        """Run ``op``: ``_DONE`` when it completed as a plain call, else the
+        generator (to drive with ``yield from``) that completes it.
+
+        Every caller treats both alike with ``yield from``; starvation of
+        the input propagates up the ``yield from`` chain to execute().
+        """
+        run = _RUN.get(op.__class__)
+        if run is None:
+            raise EvaluationError(f"cannot execute plan operator {op!r}")
+        return run(self, op)
+
+    def _eval_sequence(self, op: SequenceOp):
+        items = op.items
+        for position, item in enumerate(items):
+            pending = self._eval(item)
+            if pending is not _DONE:
+                return self._resume_sequence(pending, items[position + 1 :])
+        return _DONE
+
+    def _resume_sequence(self, pending, rest: Tuple[PlanOp, ...]):
+        yield from pending
+        for item in rest:
+            yield from self._eval(item)
+
+    def _eval_text(self, op: TextOp):
+        self._serializer.emit(self._code.markup[id(op)])
+        return _DONE
+
+    def _eval_constructor(self, op: ConstructorOp):
+        start, end = self._code.markup[id(op)]
+        self._serializer.start(op.name, start)
+        pending = self._eval(op.content)
+        if pending is _DONE:
+            self._serializer.end(op.name, end)
+            return _DONE
+        return self._resume_constructor(pending, op.name, end)
+
+    def _resume_constructor(self, pending, name: str, end: str):
+        yield from pending
+        self._serializer.end(name, end)
+
+    def _eval_if(self, op: IfOp):
+        evaluator = TreeEvaluator(self._evaluation_bindings())
+        branch = op.then_branch if evaluator.evaluate_boolean(op.condition) else op.else_branch
+        return self._eval(branch)
 
     # -------------------------------------------------------------- output
 
     def _write_items(self, items: List[object]) -> None:
+        serializer = self._serializer
         previous_atomic = False
         for item in items:
             if isinstance(item, bool):
-                self._serializer.write(Text("true" if item else "false"))
+                serializer.emit("true" if item else "false")
                 previous_atomic = True
             elif isinstance(item, (str, int, float)):
                 if previous_atomic:
-                    self._serializer.write(Text(" "))
-                self._serializer.write(Text(string_value(item)))
+                    serializer.emit(" ")
+                serializer.emit(escape_text(string_value(item)))
                 previous_atomic = True
             else:
                 element = item.to_element() if hasattr(item, "to_element") else item
-                for event in tree_to_events(element):
-                    self._serializer.write(event)
+                serializer.write_tree(element)  # type: ignore[arg-type]
                 previous_atomic = False
 
-    def _eval_buffered(self, op: BufferedEvalOp) -> None:
+    def _eval_buffered(self, op: BufferedEvalOp):
         evaluator = TreeEvaluator(self._evaluation_bindings())
         self._write_items(evaluator.evaluate(op.expr))
+        return _DONE
 
     def _eval_copy(self, op: CopyVarOp):
         binding = self._env.get(op.var)
         if binding is None:
             raise EvaluationError(f"copy of unbound variable ${op.var}")
-        if isinstance(binding, _Scope):
-            if not binding.consumed and binding.buffers.full_element is None:
-                yield from self._stream_copy(binding)
-                return
-            element = StreamScopeNode(binding.tag, binding.attrs, binding.buffers).to_element()
-            for event in tree_to_events(element):
-                self._serializer.write(event)
-            return
-        if isinstance(binding, XMLElement):
-            for event in tree_to_events(binding):
-                self._serializer.write(event)
-            return
-        self._serializer.write(Text(string_value(binding)))
+        if binding.__class__ is _Scope:
+            if not binding.consumed and binding.buffers.full_element is None:  # type: ignore[union-attr]
+                return self._stream_copy(binding)  # type: ignore[arg-type]
+            node = StreamScopeNode(binding.tag, binding.attrs, binding.buffers)  # type: ignore[union-attr]
+            self._serializer.write_tree(node.to_element())
+        elif isinstance(binding, XMLElement):
+            self._serializer.write_tree(binding)
+        else:
+            self._serializer.emit(escape_text(string_value(binding)))  # type: ignore[arg-type]
+        return _DONE
 
-    def _stream_copy(self, scope: _Scope):
+    def _stream_copy(self, scope: _Scope):  # hot-loop
         """Copy the scope's element to the output directly from the stream."""
-        self._serializer.write(StartElement(scope.tag, tuple(scope.attrs.items())))
+        serializer = self._serializer
+        emit = serializer.emit
+        render_start = start_tag
+        render_end = end_tag
+        tag = scope.tag
+        serializer.start(tag, render_start(tag, scope.attrs))
+        pull = scope.source.__next__
         depth = 0
         while True:
-            event = yield from _pull(scope.source)
-            if event is _END_OF_INPUT:
+            # Starvation suspends the copy exactly at this pull.
+            # hot-loop-ok: a try costs nothing until it catches (3.11+)
+            try:
+                event = pull()
+            except StopIteration:
                 break
-            if isinstance(event, OnFirstEvent):
+            except StarvedInput:
+                yield _NEED_INPUT
                 continue
-            if isinstance(event, StartElement):
+            cls = event.__class__
+            if cls is Text:
+                emit(escape_text(event.text))
+            elif cls is StartElement:
                 depth += 1
-                self._serializer.write(event)
-            elif isinstance(event, EndElement):
-                if depth == 0:
+                emit(render_start(event.name, event.attrs))
+            elif cls is EndElement:
+                if not depth:
                     break
                 depth -= 1
-                self._serializer.write(event)
-            elif isinstance(event, Text):
-                self._serializer.write(event)
-            elif isinstance(event, EndDocument):
+                emit(render_end(event.name))  # hot-loop-ok: exclusive with the start branch
+            elif cls is EndDocument:
                 break
-        self._serializer.write(EndElement(scope.tag))
+        if depth:
+            # The input ended inside the copied element.
+            raise _unbalanced(tag)
+        serializer.end(tag, render_end(tag))
         scope.consumed = True
 
     # ----------------------------------------------------------- bindings
@@ -340,202 +451,201 @@ class StreamedEvaluator:
     def _evaluation_bindings(self) -> Dict[str, object]:
         bindings: Dict[str, object] = {}
         for name, binding in self._env.items():
-            if isinstance(binding, _Scope):
-                bindings[name] = StreamScopeNode(binding.tag, binding.attrs, binding.buffers)
+            if binding.__class__ is _Scope:
+                bindings[name] = StreamScopeNode(binding.tag, binding.attrs, binding.buffers)  # type: ignore[union-attr]
             else:
                 bindings[name] = binding
         return bindings
 
     # ------------------------------------------------------ process-stream
 
-    def _eval_process_stream(self, op: ProcessStreamOp):
-        binding = self._env.get(op.var)
-        if not isinstance(binding, _Scope):
-            raise EvaluationError(
-                f"process-stream ${op.var} is not bound to an active stream element"
-            )
-        scope = binding
-        if scope.consumed:
-            raise EvaluationError(
-                f"process-stream ${op.var}: the element's children were already consumed"
-            )
-        on_first_handlers = [
-            handler for handler in op.handlers if isinstance(handler, OnFirstHandlerOp)
-        ]
-        satisfied: set = set()
-        fired: set = set()
+    def _eval_process_stream(self, op: ProcessStreamOp):  # hot-loop
+        """Consume the children of the scope bound to ``op.var``.
 
-        def fire_ready(max_index: float):
-            for handler in on_first_handlers:
-                if handler.index in fired:
-                    continue
-                if handler.index >= max_index:
-                    break
-                ready = handler.always_satisfied or (
-                    handler.condition_id is not None and handler.condition_id in satisfied
-                )
-                if not ready:
-                    break
-                fired.add(handler.index)
-                yield from self._eval(handler.body)
-
-        def fire_remaining():
-            for handler in on_first_handlers:
-                if handler.index not in fired:
-                    fired.add(handler.index)
-                    yield from self._eval(handler.body)
-
-        if op.buffer_whole:
-            scope.buffers.ensure_full_element(scope.tag, scope.attrs)
-
+        The child loop of the whole evaluator: it pulls every event of the
+        scope's element, skipping unwanted child subtrees in place and
+        streaming a handled child to its handler's body.
+        """
+        name = op.var
+        scope = self._env.get(name)
+        if scope.__class__ is not _Scope or scope.consumed:  # type: ignore[union-attr]
+            raise _unusable_scope(name, scope)
+        spec = self._code.streams[id(op)]
+        actions = spec.actions.get
+        default = spec.default
+        on_first = spec.on_first
+        first_count = len(on_first)
+        fired = 0  # on-first handlers fire in order, so the fired ones are a prefix
+        satisfied = set()  # hot-loop-ok: once per scope; conditions seen so far
+        whole = op.buffer_whole
+        buffers = scope.buffers  # type: ignore[union-attr]
+        if whole:
+            buffers.ensure_full_element(scope.tag, scope.attrs)  # type: ignore[union-attr]
+        source = scope.source  # type: ignore[union-attr]
+        pull = source.__next__
+        run = self._eval
+        env = self._env
+        manager = self._buffers
+        unbound = _UNBOUND
+        start_element = StartElement
+        end_element = EndElement
+        end_document = EndDocument
+        skip = 0  # depth inside a child subtree being skipped
         while True:
-            event = yield from _pull(scope.source)
-            if event is _END_OF_INPUT:
+            # Starvation suspends the scope exactly at this pull.
+            # hot-loop-ok: a try costs nothing until it catches (3.11+)
+            try:
+                event = pull()
+            except StopIteration:
                 break
-            if isinstance(event, OnFirstEvent):
+            except StarvedInput:
+                yield _NEED_INPUT
+                continue
+            cls = event.__class__
+            if skip:
+                if cls is start_element:
+                    skip += 1
+                elif cls is end_element:
+                    skip -= 1
+                elif cls is end_document:
+                    break
+                continue
+            if cls is start_element:
+                label = event.name
+                handler, max_index, buffered = actions(label, default)
+                subtree = None
+                if buffered:
+                    subtree = yield from self._materialize(event, source)
+                    if whole:
+                        buffers.append_full_child(subtree)
+                    else:
+                        buffers.add_child(label, subtree)
+                while fired < first_count:
+                    index, always, condition, body = on_first[fired]
+                    if index >= max_index or not (always or condition in satisfied):
+                        break
+                    fired += 1
+                    yield from run(body)
+                if handler is None:
+                    if subtree is None:
+                        skip = 1
+                elif subtree is not None:
+                    yield from self._run_handler_on_tree(handler, subtree)
+                else:
+                    # hot-loop-ok: one scope per handled child, not per event
+                    child = _Scope(label, event.attrs, source, ScopeBuffers(manager))
+                    var = handler.var
+                    previous = env.get(var, unbound)
+                    env[var] = child
+                    yield from run(handler.body)
+                    if previous is unbound:
+                        del env[var]
+                    else:
+                        env[var] = previous
+                    child.buffers.close()
+                    if not child.consumed:
+                        skip = 1
+            elif cls is Text:
+                if whole:
+                    buffers.append_full_text(event.text)
+            elif cls is OnFirstEvent:
                 satisfied.add(event.condition_id)
-                continue
-            if isinstance(event, Text):
-                if op.buffer_whole:
-                    scope.buffers.append_full_text(event.text)
-                continue
-            if isinstance(event, StartElement):
-                yield from self._process_child(op, scope, event, fire_ready)
-                continue
-            if isinstance(event, (EndElement, EndDocument)):
-                yield from fire_remaining()
-                scope.consumed = True
-                return
-        # The source was exhausted without an explicit end event (replayed
-        # subtrees end exactly at their closing tag).
-        yield from fire_remaining()
-        scope.consumed = True
-
-    def _process_child(
-        self,
-        op: ProcessStreamOp,
-        scope: _Scope,
-        event: StartElement,
-        fire_ready,
-    ):
-        label = event.name
-        handler_index = op.on_index.get(label)
-        max_index = handler_index if handler_index is not None else math.inf
-        need_buffer = op.buffer_whole or label in op.buffer_labels
-        subtree: Optional[XMLElement] = None
-        if need_buffer:
-            subtree = yield from self._materialize(event, scope.source)
-            if op.buffer_whole:
-                scope.buffers.append_full_child(subtree)
-            else:
-                scope.buffers.add_child(label, subtree)
-        yield from fire_ready(max_index)
-        if handler_index is not None:
-            handler = op.handlers[handler_index]
-            assert isinstance(handler, OnHandlerOp)
-            if subtree is not None:
-                yield from self._run_handler_on_tree(handler, subtree)
-            else:
-                yield from self._run_handler_streaming(handler, event, scope.source)
-        elif subtree is None:
-            yield from self._skip_subtree(scope.source)
+            elif cls is end_element or cls is end_document:
+                break
+        # The element closed (or a replayed subtree ran out): every
+        # remaining on-first condition holds now.
+        for _index, _always, _condition, body in on_first[fired:]:
+            yield from run(body)
+        scope.consumed = True  # type: ignore[union-attr]
 
     # ------------------------------------------------------------ handlers
 
-    def _run_handler_streaming(
-        self, handler: OnHandlerOp, event: StartElement, source: Iterator[Event]
-    ):
-        child_scope = _Scope(
-            tag=event.name,
-            attrs=event.attributes,
-            source=source,
-            buffers=ScopeBuffers(self._buffers),
-        )
-        yield from self._with_binding(handler.var, child_scope, handler.body)
-        if not child_scope.consumed:
-            yield from self._skip_subtree(source)
-        child_scope.buffers.close()
-
     def _run_handler_on_tree(self, handler: OnHandlerOp, subtree: XMLElement):
-        events = tree_to_events(subtree)
-        # Skip the subtree's own start tag: the scope reads children only.
-        iterator = iter(events)
-        first = next(iterator, None)
-        if not isinstance(first, StartElement):  # pragma: no cover - defensive
-            raise EvaluationError("replayed subtree did not start with a start tag")
+        """Run an ``on`` handler over a child that was also buffered, by
+        replaying the materialized subtree through its own XSAX reader (so
+        conditions of the replayed element are tracked exactly as on the
+        live stream)."""
         replay = XSAXReader(
-            _chain_one(first, iterator), self.dtd, self.plan.conditions, validate=False
+            tree_to_events(subtree), self.dtd, self.plan.conditions, validate=False
         )
-        # Consume the start tag again from the XSAX reader so conditions of
-        # the replayed element are tracked exactly as on the live stream.
-        next(replay, None)
-        child_scope = _Scope(
-            tag=subtree.tag,
-            attrs=dict(subtree.attrs),
-            source=replay,
-            buffers=ScopeBuffers(self._buffers),
+        # Skip the subtree's own start tag: the scope reads children only.
+        first = next(replay, None)
+        if first.__class__ is not StartElement:  # pragma: no cover - defensive
+            raise EvaluationError("replayed subtree did not start with a start tag")
+        child = _Scope(
+            subtree.tag, tuple(subtree.attrs.items()), replay, ScopeBuffers(self._buffers)
         )
-        yield from self._with_binding(handler.var, child_scope, handler.body)
-        child_scope.buffers.close()
-
-    def _with_binding(self, name: str, binding: Binding, body: PlanOp):
-        previous = self._env.get(name)
-        had_previous = name in self._env
-        self._env[name] = binding
-        try:
-            yield from self._eval(body)
-        finally:
-            if had_previous:
-                self._env[name] = previous
-            else:
-                self._env.pop(name, None)
+        env = self._env
+        var = handler.var
+        previous = env.get(var, _UNBOUND)
+        env[var] = child
+        yield from self._eval(handler.body)
+        if previous is _UNBOUND:
+            del env[var]
+        else:
+            env[var] = previous
+        child.buffers.close()
 
     # --------------------------------------------------------------- input
 
-    def _materialize(self, event: StartElement, source: Iterator[Event]):
+    def _materialize(self, event: StartElement, source: Iterator[Event]):  # hot-loop
         """Build the subtree rooted at ``event`` by consuming its events."""
-        root = XMLElement(event.name, event.attributes)
-        stack: List[XMLElement] = [root]
+        element = XMLElement
+        root = element(event.name, event.attrs)  # type: ignore[arg-type]
+        top = root
+        stack: List[XMLElement] = [root]  # hot-loop-ok: once per buffered child
+        push = stack.append
+        pop = stack.pop
+        pull = source.__next__
         while True:
-            item = yield from _pull(source)
-            if item is _END_OF_INPUT:
-                break
-            if isinstance(item, OnFirstEvent):
+            # Starvation suspends the build exactly at this pull.
+            # hot-loop-ok: a try costs nothing until it catches (3.11+)
+            try:
+                item = pull()
+            except StopIteration:
+                return root
+            except StarvedInput:
+                yield _NEED_INPUT
                 continue
-            if isinstance(item, StartElement):
-                child = XMLElement(item.name, item.attributes)
-                stack[-1].append(child)
-                stack.append(child)
-            elif isinstance(item, Text):
-                stack[-1].append_text(item.text)
-            elif isinstance(item, EndElement):
-                stack.pop()
+            cls = item.__class__
+            if cls is Text:
+                top.append_text(item.text)
+            elif cls is StartElement:
+                child = element(item.name, item.attrs)  # type: ignore[arg-type]
+                top.append(child)
+                push(child)
+                top = child
+            elif cls is EndElement:
+                pop()
                 if not stack:
                     return root
-            elif isinstance(item, EndDocument):  # pragma: no cover - defensive
-                break
-        return root
-
-    def _skip_subtree(self, source: Iterator[Event]):
-        """Consume and discard the events of one child subtree."""
-        depth = 0
-        while True:
-            item = yield from _pull(source)
-            if item is _END_OF_INPUT:
-                return
-            if isinstance(item, StartElement):
-                depth += 1
-            elif isinstance(item, EndElement):
-                if depth == 0:
-                    return
-                depth -= 1
-            elif isinstance(item, EndDocument):  # pragma: no cover - defensive
-                return
+                top = stack[-1]
+            elif cls is EndDocument:  # pragma: no cover - defensive
+                return root
 
 
-def _chain_one(first: Event, rest: Iterator[Event]) -> Iterator[Event]:
-    yield first
-    yield from rest
+def _unusable_scope(var: str, binding: object) -> EvaluationError:
+    if binding.__class__ is not _Scope:
+        return EvaluationError(f"process-stream ${var} is not bound to an active stream element")
+    return EvaluationError(
+        f"process-stream ${var}: the element's children were already consumed"
+    )
+
+
+def _unbalanced(tag: str) -> XMLSyntaxError:
+    return XMLSyntaxError(f"serializer received unbalanced end tag </{tag}>")
+
+
+#: Exact plan-operator class -> the method that runs it.
+_RUN = {
+    SequenceOp: StreamedEvaluator._eval_sequence,
+    TextOp: StreamedEvaluator._eval_text,
+    ConstructorOp: StreamedEvaluator._eval_constructor,
+    CopyVarOp: StreamedEvaluator._eval_copy,
+    BufferedEvalOp: StreamedEvaluator._eval_buffered,
+    IfOp: StreamedEvaluator._eval_if,
+    ProcessStreamOp: StreamedEvaluator._eval_process_stream,
+}
 
 
 # ---------------------------------------------------------------- push mode

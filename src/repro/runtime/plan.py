@@ -155,12 +155,23 @@ class ProcessStreamOp(PlanOp):
 
 @dataclass
 class PhysicalPlan:
-    """A compiled FluX query, ready for streamed evaluation."""
+    """A compiled FluX query, ready for streamed evaluation.
+
+    The evaluator keeps what it derives from the plan on first use
+    (:func:`repro.runtime.evaluator.plan_code`) as the ``_code`` attribute;
+    it is not a field and never part of the pickled state.
+    """
 
     root: PlanOp
     conditions: "ConditionRegistry"
     bdf: "BufferDescriptionForest"
     dtd: Optional[object] = None
+
+    def __getstate__(self):
+        return {name: value for name, value in self.__dict__.items() if name != "_code"}
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
 
     def operator_count(self) -> int:
         return self.root.operator_count()

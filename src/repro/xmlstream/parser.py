@@ -142,6 +142,13 @@ class StreamingXMLParser:
         keep_whitespace: bool = False,
         chunk_size: int = 1 << 16,
     ):
+        # What the input has shown so far (see _note): a carriage return
+        # (line ends to normalize), a tab or line feed (attribute values to
+        # normalize), a "]" (character data to check for "]]>").  Input
+        # without them is never scanned for them again.
+        self._saw_cr = False
+        self._saw_tab_or_lf = False
+        self._saw_bracket = False
         if source is None:
             self._reader = None
             self._buffer = ""
@@ -152,6 +159,7 @@ class StreamingXMLParser:
             self._buffer = source
             self._eof = True
             self._push = False
+            self._note(source)
         else:
             self._reader = source
             self._buffer = ""
@@ -223,6 +231,29 @@ class StreamingXMLParser:
         self._buffer = ""
         buffer += data
         self._buffer = buffer
+        self._note(data)
+
+    def _note(self, data: str) -> None:
+        """Record which characters that need extra work ``data`` holds.
+
+        Three C-level scans per chunk, so a document without carriage
+        returns, tabs, line feeds or ``]`` pays nothing per construct.
+        """
+        if not self._saw_cr and "\r" in data:
+            self._saw_cr = True
+        if not self._saw_tab_or_lf and ("\n" in data or "\t" in data):
+            self._saw_tab_or_lf = True
+        if not self._saw_bracket and "]" in data:
+            self._saw_bracket = True
+
+    @staticmethod
+    def _normalize_line_ends(raw: str) -> str:
+        r"""XML 1.0 §2.11: ``\r\n`` and a lone ``\r`` become ``\n``.
+
+        Applied to source text before references are resolved, so a
+        character reference ``&#13;`` still yields ``\r``.
+        """
+        return raw.replace("\r\n", "\n").replace("\r", "\n")
 
     def _compact(self) -> None:
         """Drop the already-consumed buffer prefix to keep memory bounded.
@@ -440,6 +471,11 @@ class StreamingXMLParser:
             return None
         if not self._keep_whitespace and not raw.strip():
             return None
+        if self._saw_bracket and "]]>" in raw:
+            # XML 1.0 §2.4: "]]>" may not occur literally in content.
+            raise XMLSyntaxError("']]>' is not allowed in character data")
+        if self._saw_cr:
+            raw = self._normalize_line_ends(raw)
         return Text(resolve_entities(raw))
 
     def _parse_markup(self) -> Tuple[Optional[Event], bool]:
@@ -473,6 +509,8 @@ class StreamingXMLParser:
             if end < 0:
                 raise XMLSyntaxError("unterminated CDATA section", self._offset(pos))
             text = self._buffer[pos + 9 : end]
+            if self._saw_cr:
+                text = self._normalize_line_ends(text)
             self._pos = end + 3
             return (Text(text) if text else None), False
         if buf.startswith("<?", pos):
@@ -556,6 +594,7 @@ class StreamingXMLParser:
             i += 1
         name = raw[:i]
         attrs: List[Tuple[str, str]] = []
+        normalize = self._saw_cr or self._saw_tab_or_lf
         while i < length:
             while i < length and raw[i].isspace():
                 i += 1
@@ -587,7 +626,10 @@ class StreamingXMLParser:
                 raise XMLSyntaxError(
                     f"unterminated value for attribute {attr_name!r}", self._offset(pos)
                 )
-            attrs.append((attr_name, resolve_entities(raw[i:value_end])))
+            value = raw[i:value_end]
+            if normalize:
+                value = self._normalize_attribute(value)
+            attrs.append((attr_name, resolve_entities(value)))
             i = value_end + 1
         if len(attrs) > 1 and len({attr for attr, _ in attrs}) < len(attrs):
             # XML 1.0 WFC: Unique Att Spec.
@@ -595,6 +637,14 @@ class StreamingXMLParser:
                 f"duplicate attribute in <{name}>", self._offset(pos)
             )
         return name, tuple(attrs)
+
+    @classmethod
+    def _normalize_attribute(cls, raw: str) -> str:
+        """XML 1.0 §3.3.3 for CDATA attributes (no DTD types are read):
+        after line-end normalization every literal tab, line feed and
+        carriage return becomes a space.  Callers resolve references
+        after, so ``&#9;``/``&#10;``/``&#13;`` keep their characters."""
+        return cls._normalize_line_ends(raw).replace("\n", " ").replace("\t", " ")
 
 
 def parse_events(

@@ -8,7 +8,7 @@ helpers below so outputs are byte-for-byte comparable in tests.
 
 from __future__ import annotations
 
-from typing import IO, Iterable, List, Optional
+from typing import IO, Iterable, List, Optional, Tuple
 
 from repro.errors import XMLSyntaxError
 from repro.xmlstream.events import (
@@ -69,12 +69,31 @@ def _write_node(node: XMLNode, parts: List[str], indent: Optional[str], depth: i
     parts.append(f"{pad}</{node.tag}>{newline}")
 
 
+def start_tag(name: str, attrs: Iterable[Tuple[str, str]]) -> str:
+    """The start-tag markup of an element with ``(name, value)`` attributes."""
+    if not attrs:
+        return f"<{name}>"
+    rendered = "".join(f' {key}="{escape_attribute(value)}"' for key, value in attrs)
+    return f"<{name}{rendered}>"
+
+
+def end_tag(name: str) -> str:
+    """The end-tag markup of an element."""
+    return f"</{name}>"
+
+
 class EventSerializer:
     """Incremental serializer for output event streams.
 
     Events are written to ``sink`` (any object with a ``write(str)`` method)
     as they arrive; the serializer checks well-formedness (balanced tags) so
     bugs in plan operators surface as errors rather than bad output.
+
+    Besides :meth:`write`, which takes events, the streamed evaluator writes
+    markup it has already rendered: :meth:`start`/:meth:`end` for
+    constructor tags (rendered once per plan), :meth:`emit` for escaped
+    text, and :meth:`write_tree` for a result tree, serialized by one walk
+    straight to strings.
     """
 
     def __init__(self, sink: IO[str]):
@@ -84,25 +103,56 @@ class EventSerializer:
 
     def write(self, event: Event) -> None:
         """Serialize a single event."""
-        if isinstance(event, (StartDocument, EndDocument)):
+        cls = event.__class__
+        if cls is Text:
+            self.emit(escape_text(event.text))  # type: ignore[attr-defined]
+        elif cls is StartElement:
+            self.start(event.name, start_tag(event.name, event.attrs))  # type: ignore[attr-defined]
+        elif cls is EndElement:
+            self.end(event.name, end_tag(event.name))  # type: ignore[attr-defined]
+        elif cls is StartDocument or cls is EndDocument:
             return
-        if isinstance(event, StartElement):
-            attrs = "".join(
-                f' {name}="{escape_attribute(value)}"' for name, value in event.attrs
-            )
-            self._emit(f"<{event.name}{attrs}>")
-            self._stack.append(event.name)
-        elif isinstance(event, EndElement):
-            if not self._stack or self._stack[-1] != event.name:
-                raise XMLSyntaxError(
-                    f"serializer received unbalanced end tag </{event.name}>"
-                )
-            self._stack.pop()
-            self._emit(f"</{event.name}>")
-        elif isinstance(event, Text):
-            self._emit(escape_text(event.text))
         else:  # pragma: no cover - future event kinds
             raise XMLSyntaxError(f"cannot serialize event {event!r}")
+
+    def start(self, name: str, markup: str) -> None:
+        """Open element ``name`` whose start tag renders as ``markup``."""
+        self.emit(markup)
+        self._stack.append(name)
+
+    def end(self, name: str, markup: str) -> None:
+        """Close element ``name`` (which must be the innermost open one)."""
+        stack = self._stack
+        if not stack or stack[-1] != name:
+            raise XMLSyntaxError(f"serializer received unbalanced end tag </{name}>")
+        stack.pop()
+        self.emit(markup)
+
+    def write_tree(self, node: XMLNode) -> None:
+        """Serialize a whole tree, exactly as its events would serialize.
+
+        One iterative walk renders the markup (elements always get an
+        explicit end tag, as in the event form); a tree is balanced by
+        construction, so the open-element stack is left as it was.
+        """
+        parts: List[str] = []
+        append = parts.append
+        pending: List[object] = [node]
+        pop = pending.pop
+        push = pending.append
+        while pending:
+            item = pop()
+            cls = item.__class__
+            if cls is str:
+                append(item)  # type: ignore[arg-type]
+            elif cls is XMLText:
+                append(escape_text(item.text))  # type: ignore[attr-defined]
+            else:
+                tag = item.tag  # type: ignore[attr-defined]
+                append(start_tag(tag, item.attrs.items()))  # type: ignore[attr-defined]
+                push(f"</{tag}>")
+                pending.extend(reversed(item.children))  # type: ignore[attr-defined]
+        self.emit("".join(parts))
 
     def write_all(self, events: Iterable[Event]) -> None:
         """Serialize every event of ``events``."""
@@ -116,7 +166,8 @@ class EventSerializer:
                 f"serializer closed with unclosed elements: {self._stack!r}"
             )
 
-    def _emit(self, text: str) -> None:
+    def emit(self, text: str) -> None:
+        """Write already-escaped markup to the sink."""
         self._sink.write(text)
         self.bytes_written += len(text)
 

@@ -222,20 +222,25 @@ def tree_to_events(node: XMLNode, document: bool = False) -> Iterator[Event]:
     """Convert a tree (back) into the event vocabulary.
 
     When ``document`` is true the stream is wrapped in
-    ``StartDocument``/``EndDocument`` events.
+    ``StartDocument``/``EndDocument`` events.  The walk is iterative, so a
+    replay costs one generator however deep the tree is.
     """
     if document:
         yield StartDocument()
-    yield from _node_events(node)
+    pending: List[object] = [node]
+    pop = pending.pop
+    push = pending.append
+    while pending:
+        item = pop()
+        cls = item.__class__
+        if cls is EndElement:
+            yield item  # type: ignore[misc]
+        elif cls is XMLText:
+            yield Text(item.text)  # type: ignore[attr-defined]
+        else:
+            tag = item.tag  # type: ignore[attr-defined]
+            yield StartElement(tag, tuple(item.attrs.items()))  # type: ignore[attr-defined]
+            push(EndElement(tag))
+            pending.extend(reversed(item.children))  # type: ignore[attr-defined]
     if document:
         yield EndDocument()
-
-
-def _node_events(node: XMLNode) -> Iterator[Event]:
-    if isinstance(node, XMLText):
-        yield Text(node.text)
-        return
-    yield StartElement(node.tag, tuple(node.attrs.items()))
-    for child in node.children:
-        yield from _node_events(child)
-    yield EndElement(node.tag)

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import io
 import random
 import string
 
@@ -19,7 +20,13 @@ from repro.dtd.model import (
 )
 from repro.runtime.buffers import BufferManager
 from repro.xmlstream.parser import parse_events
-from repro.xmlstream.serializer import escape_attribute, escape_text, serialize_tree
+from repro.xmlstream.serializer import (
+    EventSerializer,
+    escape_attribute,
+    escape_text,
+    serialize_events,
+    serialize_tree,
+)
 from repro.xmlstream.tree import XMLElement, build_tree, parse_tree, tree_to_events
 
 # --------------------------------------------------------------------- trees
@@ -68,6 +75,19 @@ class TestXMLRoundTrips:
     def test_tree_events_tree_round_trip(self, tree):
         rebuilt = build_tree(tree_to_events(tree, document=True))
         assert rebuilt.deep_equal(tree)
+
+    @given(xml_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_tree_walk_writes_what_its_events_write(self, tree):
+        # The evaluator serializes result trees in one walk; it must write
+        # exactly the bytes the tree's event stream serializes to.
+        sink = io.StringIO()
+        serializer = EventSerializer(sink)
+        serializer.write_tree(tree)
+        serializer.close()
+        expected = serialize_events(tree_to_events(tree))
+        assert sink.getvalue() == expected
+        assert serializer.bytes_written == len(expected)
 
     @given(_TEXTS)
     @settings(max_examples=60, deadline=None)

@@ -178,6 +178,99 @@ class TestErrors:
             pytest.fail("expected XMLSyntaxError")
 
 
+def expat_outcome(xml):
+    """``(accepted, events)`` from stdlib expat, events in this module's
+    comparison form: ``("start", name, attrs)``, ``("text", joined
+    character data)``, ``("end", name)``."""
+    events = []
+    text = []
+
+    def flush():
+        if text:
+            events.append(("text", "".join(text)))
+            text.clear()
+
+    def start(name, attrs):
+        flush()
+        events.append(("start", name, dict(attrs)))
+
+    def end(name):
+        flush()
+        events.append(("end", name))
+
+    expat = pyexpat.ParserCreate()
+    expat.StartElementHandler = start
+    expat.EndElementHandler = end
+    expat.CharacterDataHandler = text.append
+    try:
+        expat.Parse(xml, True)
+    except pyexpat.ExpatError:
+        return False, None
+    return True, events
+
+
+def two_chunk_outcome(xml, split):
+    """``(accepted, events)`` from the incremental parser fed ``xml`` in
+    two chunks, in the form of :func:`expat_outcome`."""
+    parser = StreamingXMLParser.incremental(keep_whitespace=True)
+    try:
+        parsed = parser.feed(xml[:split]) + parser.feed(xml[split:]) + parser.close()
+    except XMLSyntaxError:
+        return False, None
+    events = []
+    for event in parsed:
+        if isinstance(event, StartElement):
+            events.append(("start", event.name, dict(event.attrs)))
+        elif isinstance(event, EndElement):
+            events.append(("end", event.name))
+        elif isinstance(event, Text):
+            if events and events[-1][0] == "text":
+                events[-1] = ("text", events[-1][1] + event.text)
+            else:
+                events.append(("text", event.text))
+    return True, events
+
+
+class TestExpatConformance:
+    """Character data, line ends and attribute values, checked against
+    expat at every two-chunk split (so every construct also spans a chunk
+    boundary somewhere)."""
+
+    @pytest.mark.parametrize(
+        "xml",
+        [
+            "<a>x]]>y</a>",
+            "<a>]]></a>",
+            "<a><b/>]]><b/></a>",
+            "<a>x]]&gt;y</a>",
+            "<a>x]]y]>z]</a>",
+            "<a>]] ></a>",
+            "<a><![CDATA[x]]>y]]</a>",
+            "<a><![CDATA[]]]]><![CDATA[>]]></a>",
+            "<a>x\r\ny</a>",
+            "<a>x\ry\r</a>",
+            "<a>x\r\r\ny\n\rz</a>",
+            "<a>\r\n<b>\r</b>\r\n</a>",
+            "<a>x&#13;y&#13;&#10;z</a>",
+            "<a><![CDATA[x\r\ny\rz]]></a>",
+            "<a b=\"1\t2\n3\"/>",
+            "<a b=\"1\r\n2\r3\" c='\t'/>",
+            "<a b=\"1&#9;2&#10;3&#13;4\"/>",
+            "<a\r\nb='x'\tc=\"y\"\n/>",
+        ],
+    )
+    def test_agrees_with_expat(self, xml):
+        expected = expat_outcome(xml)
+        for split in range(1, len(xml)):
+            assert two_chunk_outcome(xml, split) == expected, (xml, split)
+
+    def test_examples(self):
+        assert not expat_outcome("<a>x]]>y</a>")[0]
+        assert events_of("<a>x\r\ny\rz</a>")[2] == Text("x\ny\nz")
+        assert events_of("<a>x&#13;</a>")[2] == Text("x\r")
+        assert events_of("<a b=\"1\t2\n3\"/>")[1] == StartElement("a", (("b", "1 2 3"),))
+
+
 class TestFileLikeInput:
     def test_parsing_from_file_object(self):
         source = io.StringIO("<a><b>hi</b></a>")
